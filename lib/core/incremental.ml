@@ -21,10 +21,14 @@
    Any numeric degeneracy, injected fault or never-settling probe
    abandons the incremental attempt and re-evaluates the candidate on
    the plain robust path (retry-with-refinement, model degradation),
-   counted under oracle.incremental_fallbacks. Results are published to
-   [Oracle.Cache], so measurement replays hit the cache exactly as they
-   do without incremental scoring. Disabled by default in the library;
-   the binaries enable it unless --no-incremental is given. *)
+   counted under oracle.incremental_fallbacks. Candidates are never
+   looked up in [Oracle.Cache]: within one greedy run no candidate
+   repeats, so a lookup would only pay for a key. A result is keyed
+   and stored only when it is at most the round's lowest value so far,
+   which always includes the round's winner; the measurement replays
+   of accepted routings therefore hit the cache with the bits the
+   search scored. Disabled by default in the library; the binaries
+   enable it unless --no-incremental is given. *)
 
 let src =
   Logs.Src.create "nontree.incremental" ~doc:"Incremental candidate scoring"
@@ -217,28 +221,37 @@ let spice_delays ctx ~tech r edge =
               | None -> fall_back "probe never settled")
             (Routing.sinks r))
 
+(* [lowers best d] lowers the round's running minimum [best] to [d] and
+   tells whether [d] is at most every value published before it. The
+   round's winner is at most every candidate value, so it always
+   passes, in whatever order worker domains finish. *)
+let rec lowers best d =
+  let cur = Atomic.get best in
+  d <= cur && (Atomic.compare_and_set best cur d || lowers best d)
+
 let make_scorer ~model ~tech ~fallback r =
   if not (Atomic.get enabled_flag) then None
   else begin
+    let round_best = Atomic.make Float.infinity in
     let wrap compute =
       Some
         (fun edge trial ->
-          match Oracle.Cache.find_delays ~model ~tech trial with
-          | Some ds -> max_sink_delay ds
-          | None -> (
-              match compute edge with
-              | ds ->
-                  Obs.Counter.incr hits;
-                  Oracle.Cache.store_delays ~model ~tech trial ds;
-                  max_sink_delay ds
-              | exception Fall_back why ->
-                  Obs.Counter.incr fallbacks;
-                  Log.info (fun f ->
-                      f "incremental scoring fell back (%s)" why);
-                  fallback trial
-              | exception Numeric.Lu.Singular _ ->
-                  Obs.Counter.incr fallbacks;
-                  fallback trial))
+          match compute edge with
+          | ds ->
+              Obs.Counter.incr hits;
+              let d = max_sink_delay ds in
+              (* Only a candidate that may win the round is keyed and
+                 published; the measurement replays need nothing else. *)
+              if lowers round_best d then
+                Oracle.Cache.store_delays ~model ~tech trial ds;
+              d
+          | exception Fall_back why ->
+              Obs.Counter.incr fallbacks;
+              Log.info (fun f -> f "incremental scoring fell back (%s)" why);
+              fallback trial
+          | exception Numeric.Lu.Singular _ ->
+              Obs.Counter.incr fallbacks;
+              fallback trial)
     in
     let moment_scorer compute_delays =
       match prepare_moments ~tech r with

@@ -10,11 +10,13 @@
     companion matrix — tied to the candidate's own horizon-derived
     timestep — is still factored fresh.
 
-    Every incremental evaluation consults {!Oracle.Cache} first and
-    publishes its result there, so measurement replays and cached runs
-    behave identically with the scorer on or off. Degenerate updates,
-    injected faults, and unsettled probes fall back to the ordinary
-    robust objective, counted under [oracle.incremental_fallbacks]. *)
+    Candidates are not looked up in {!Oracle.Cache}. A result is
+    published there only when it is at most every value scored before
+    it in the round, so each round's winner is always stored, at any
+    worker count, and the measurement replays of accepted routings hit
+    the cache with the scored bits. Degenerate updates, injected
+    faults, and unsettled probes fall back to the ordinary robust
+    objective, counted under [oracle.incremental_fallbacks]. *)
 
 val set_enabled : bool -> unit
 (** Off by default (library semantics unchanged); the binaries enable
@@ -31,10 +33,11 @@ val make_scorer :
 (** [make_scorer ~model ~tech ~fallback base] prepares one greedy
     round: factor [base]'s systems once and return a per-candidate
     scorer [score (u, v) trial] giving the max sink delay of [trial] =
-    [base] plus edge [(u, v)]. Returns [None] — meaning "use the plain
-    objective for this round" — when scoring is disabled, the model is
-    unsupported ([Elmore_tree], RLC SPICE), or the base system fails to
-    factor. On any per-candidate failure the scorer evaluates
-    [fallback trial] instead; pass the same guarded objective the round
-    uses for non-incremental evaluations so failure semantics and
-    counters match exactly. *)
+    [base] plus edge [(u, v)]. The scorer keeps that round's running
+    minimum for the store rule above, so build one per round. Returns
+    [None] — meaning "use the plain objective for this round" — when
+    scoring is disabled, the model is unsupported ([Elmore_tree], RLC
+    SPICE), or the base system fails to factor. On any per-candidate
+    failure the scorer evaluates [fallback trial] instead; pass the
+    same guarded objective the round uses for non-incremental
+    evaluations so failure semantics and counters match exactly. *)

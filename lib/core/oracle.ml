@@ -34,14 +34,13 @@ module Cache = struct
      cache traffic without extra plumbing; [stats] reads them back. *)
   let hits = Obs.Counter.make "oracle.cache.hits"
   let misses = Obs.Counter.make "oracle.cache.misses"
-  let capacity = Atomic.make 200_000
+  let capacity = 200_000
   let lock = Mutex.create ()
 
   let table : (string, (int * float) list) Hashtbl.t = Hashtbl.create 4096
 
   let set_enabled b = Atomic.set enabled_flag b
   let enabled () = Atomic.get enabled_flag
-  let set_capacity n = Atomic.set capacity (max 0 n)
 
   let reset () =
     Mutex.lock lock;
@@ -128,27 +127,18 @@ module Cache = struct
     Mutex.unlock lock;
     v
 
+  (* The first value stored under a key stays: a hit returns the bits
+     of whichever path computed the routing first. Once [capacity]
+     entries are held, new results are computed but not stored. *)
   let store k ds =
     Mutex.lock lock;
-    if Hashtbl.length table < Atomic.get capacity then Hashtbl.replace table k ds;
+    if (not (Hashtbl.mem table k)) && Hashtbl.length table < capacity then
+      Hashtbl.add table k ds;
     Mutex.unlock lock
 
-  (* External producers (the incremental scorer) publish through the
-     same key and counters the memoised oracle uses, so a routing
-     scored incrementally is a later cache hit for the measurement
-     replays, exactly as a robust-path evaluation would have been. *)
-  let find_delays ~model ~tech r =
-    if not (Atomic.get enabled_flag) then None
-    else begin
-      match find (key ~model ~tech r) with
-      | Some ds ->
-          Obs.Counter.incr hits;
-          Some ds
-      | None ->
-          Obs.Counter.incr misses;
-          None
-    end
-
+  (* The incremental scorer publishes its round winners through the
+     same key the memoised oracle uses, so the measurement replays of
+     an accepted routing hit the memo. *)
   let store_delays ~model ~tech r ds =
     if Atomic.get enabled_flag then store (key ~model ~tech r) ds
 
@@ -165,8 +155,8 @@ module Cache = struct
           Obs.Counter.incr misses;
           (* Computed outside the lock; two domains racing on the same
              key both compute the same value, and the second store is a
-             no-op overwrite. Failed evaluations are never cached — a
-             retry under fault injection may still succeed. *)
+             no-op. Failed evaluations are never cached — a retry under
+             fault injection may still succeed. *)
           let ds = Delay.Robust.sink_delays_exn ~model ~tech r in
           store k ds;
           ds

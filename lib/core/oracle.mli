@@ -27,30 +27,28 @@ val guard : (Routing.t -> float) -> Routing.t -> float
 
 (** Memo layer over the fault-tolerant oracle.
 
-    The greedy loops re-evaluate identical routings constantly: the
-    per-iteration tables re-run LDRG per iteration bound from scratch,
-    [iteration_samples] replays prefixes of one trace, and CSORG probes
-    overlapping edge sets. The cache keys on everything the oracle
+    Its structural job is the measurement replays: [Experiment.sample],
+    [iteration_samples] and the figures measure routings the greedy
+    search already scored. The cache keys on everything the oracle
     result depends on — delay model (including its SPICE configuration),
     technology constants, vertex geometry, and the edge set with widths
     — rendered exactly (floats as [%h] hex) and digested. A hit returns
-    the previously computed sink delays bit-identically, so cached and
-    uncached runs print the same bytes.
+    the sink delays of whichever path first computed the routing, bit
+    for bit. That may be an incremental (Woodbury) evaluation, whose
+    last bits can differ from a fresh plain one: cached and uncached
+    runs agree at printed precision, not in [%h].
 
     Disabled by default (library semantics unchanged); the binaries
     enable it unless [--no-cache] is given. Failed evaluations are never
-    cached, so retry behaviour under fault injection is unaffected. All
-    state is domain-safe: the table is mutex-protected and the counters
-    are atomics. *)
+    cached, so retry behaviour under fault injection is unaffected. At
+    most 200_000 entries are held; beyond that results are computed but
+    not stored. All state is domain-safe: the table is mutex-protected
+    and the counters are atomics. *)
 module Cache : sig
   type stats = { hits : int; misses : int; entries : int }
 
   val set_enabled : bool -> unit
   val enabled : unit -> bool
-
-  val set_capacity : int -> unit
-  (** Maximum number of entries retained (default 200_000); once full,
-      new results are computed but not stored. *)
 
   val reset : unit -> unit
   (** Drop all entries and zero the hit/miss counters. *)
@@ -63,15 +61,6 @@ module Cache : sig
       rate reads "n/a" (never NaN) when the cache saw no traffic;
       [None] only when the cache is disabled and idle. *)
 
-  val find_delays :
-    model:Delay.Model.t ->
-    tech:Circuit.Technology.t ->
-    Routing.t ->
-    (int * float) list option
-  (** Cache lookup without evaluation (always [None] when disabled),
-      counting the hit or miss. The incremental scorer probes here
-      before doing any work. *)
-
   val store_delays :
     model:Delay.Model.t ->
     tech:Circuit.Technology.t ->
@@ -79,8 +68,9 @@ module Cache : sig
     (int * float) list ->
     unit
   (** Publish sink delays computed outside {!sink_delays} (the
-      incremental scorer) under the same key; a no-op when the cache
-      is disabled. *)
+      incremental scorer's round winners) under the same key, counting
+      neither a hit nor a miss. A key already present keeps its first
+      value; a no-op when the cache is disabled. *)
 
   val sink_delays :
     model:Delay.Model.t ->

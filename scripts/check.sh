@@ -1,7 +1,8 @@
 #!/bin/sh
 # Full verification: build, unit + property tests, a smoke table run,
-# and a fault-injection smoke run (README "Robustness & fallback
-# semantics"). Exits nonzero on the first failure.
+# a fault-injection smoke run (README "Robustness & fallback
+# semantics"), byte diffs across every switch, and one pass of each
+# perfbench workload. Exits nonzero on the first failure.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -41,6 +42,14 @@ diff -u "$tmpdir/seq.out" "$tmpdir/noinc.out"
 dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 --jobs 2 \
   --no-incremental > "$tmpdir/noinc2.out" 2>/dev/null
 diff -u "$tmpdir/jobs2.out" "$tmpdir/noinc2.out"
+
+echo "== smoke: --no-cache output matches cached, jobs 1 and 2 =="
+dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 \
+  --no-cache > "$tmpdir/nocache.out" 2>/dev/null
+diff -u "$tmpdir/seq.out" "$tmpdir/nocache.out"
+dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 --jobs 2 \
+  --no-cache > "$tmpdir/nocache2.out" 2>/dev/null
+diff -u "$tmpdir/jobs2.out" "$tmpdir/nocache2.out"
 
 echo "== smoke: dense backend output matches sparse, jobs 1 and 2 =="
 dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 \
@@ -86,5 +95,17 @@ dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 --jobs 2 \
   --metrics-json "$tmpdir/obs.json" > "$tmpdir/obs.out" 2>/dev/null
 dune exec bin/obs_check.exe -- "$tmpdir/obs.json"
 diff -u "$tmpdir/seq.out" "$tmpdir/obs.out"
+
+echo "== perfbench: one pass of each workload, every check passing =="
+# Expected results in %h, the slow-path re-score and the per-net
+# evaluation accounting; run.sh exits nonzero on any failed check.
+for w in ldrg-spice-30 sldrg-spice-20 ldrg-moment-60; do
+  bash perfbench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0 \
+    > "$tmpdir/perfbench-$w.json" 2> "$tmpdir/perfbench-$w.err" || {
+    cat "$tmpdir/perfbench-$w.err"
+    exit 1
+  }
+  echo "$w: $(tail -n 1 "$tmpdir/perfbench-$w.json" | cut -c 1-60)"
+done
 
 echo "all checks passed"

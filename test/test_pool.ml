@@ -169,7 +169,11 @@ let test_cache_bit_identical_and_hit () =
       let s = Nontree.Oracle.Cache.stats () in
       Alcotest.(check int) "one miss" 1 s.Nontree.Oracle.Cache.misses;
       Alcotest.(check int) "one hit" 1 s.Nontree.Oracle.Cache.hits;
-      Alcotest.(check int) "one entry" 1 s.Nontree.Oracle.Cache.entries)
+      Alcotest.(check int) "one entry" 1 s.Nontree.Oracle.Cache.entries;
+      Nontree.Oracle.Cache.store_delays ~model:moment_model ~tech r
+        (List.map (fun (sink, d) -> (sink, 2.0 *. d)) first);
+      Alcotest.(check bool) "a later store keeps the first value" true
+        (Nontree.Oracle.Cache.sink_delays ~model:moment_model ~tech r = first))
 
 let test_cache_key_discriminates () =
   with_cache (fun () ->
@@ -215,6 +219,54 @@ let test_cache_hit_by_harness () =
       Alcotest.(check bool) "rows identical with and without cache" true
         (with_cache_rows = without_cache_rows))
 
+(* The incremental scorer writes only round-best routings to the cache,
+   at any worker count: during a run only plain-path evaluations (the
+   baseline) touch the cache, every accepted routing is a hit
+   afterwards with the bits the search scored, and the table holds far
+   fewer entries than the run evaluated. *)
+let test_incremental_stores_round_best () =
+  let inc_hits = Obs.Counter.make "oracle.incremental_hits" in
+  let r = random_mst 5 15 in
+  let run pool =
+    with_cache (fun () ->
+        let h0 = Obs.Counter.value inc_hits in
+        let trace = Nontree.Ldrg.run ~pool ~model:moment_model ~tech r in
+        let incremental = Obs.Counter.value inc_hits - h0 in
+        let s = Nontree.Oracle.Cache.stats () in
+        Alcotest.(check int) "no hits during the run" 0
+          s.Nontree.Oracle.Cache.hits;
+        Alcotest.(check int) "misses = plain-path evaluations"
+          (trace.Nontree.Ldrg.evaluations - incremental)
+          s.Nontree.Oracle.Cache.misses;
+        Alcotest.(check bool) "entries far below evaluations" true
+          (10 * s.Nontree.Oracle.Cache.entries < trace.evaluations);
+        List.iteri
+          (fun k (step : Nontree.Ldrg.step) ->
+            let d =
+              Nontree.Oracle.Cache.max_delay ~model:moment_model ~tech
+                (Nontree.Ldrg.routing_after trace (k + 1))
+            in
+            Alcotest.(check bool) "hit returns the scored bits" true
+              (Int64.equal (Int64.bits_of_float d)
+                 (Int64.bits_of_float step.objective_after)))
+          trace.steps;
+        let s' = Nontree.Oracle.Cache.stats () in
+        Alcotest.(check int) "every accepted routing hits"
+          (List.length trace.steps) s'.Nontree.Oracle.Cache.hits;
+        Alcotest.(check int) "and misses nothing" s.Nontree.Oracle.Cache.misses
+          s'.Nontree.Oracle.Cache.misses;
+        List.map (fun (st : Nontree.Ldrg.step) -> st.edge) trace.steps)
+  in
+  let prev = Nontree.Incremental.enabled () in
+  Nontree.Incremental.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Nontree.Incremental.set_enabled prev)
+    (fun () ->
+      let seq = run Pool.sequential in
+      Alcotest.(check bool) "the run accepts edges" true (seq <> []);
+      let par = Pool.with_pool ~jobs:2 run in
+      Alcotest.(check (list (pair int int))) "same edges on 2 domains" seq par)
+
 let suites =
   [ ( "pool",
       [ Alcotest.test_case "map = List.map, any worker count" `Quick
@@ -240,4 +292,6 @@ let suites =
         Alcotest.test_case "cache disabled passthrough" `Quick
           test_cache_disabled_passthrough;
         Alcotest.test_case "cache hit by harness" `Quick
-          test_cache_hit_by_harness ] ) ]
+          test_cache_hit_by_harness;
+        Alcotest.test_case "incremental stores round-best only" `Quick
+          test_incremental_stores_round_best ] ) ]
