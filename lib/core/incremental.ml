@@ -188,24 +188,17 @@ let spice_delays ctx ~tech r edge =
   match Numeric.Backend.update ~pad ctx.g_lu (Spice.Mna.Delta.g_terms d) with
   | None -> fall_back "degenerate conductance update"
   | Some gup -> (
-      let nt = Numeric.Lu.Update.size gup in
-      let rhs_ext t =
-        let b = ctx.sys.Spice.Mna.rhs t in
-        let out = Array.make nt 0.0 in
-        Array.blit b 0 out 0 (Array.length b);
-        out
-      in
-      let x0 = Numeric.Lu.Update.solve gup (rhs_ext 0.0) in
-      if not (all_finite x0) then fall_back "non-finite operating point";
-      let xf =
-        Numeric.Lu.Update.solve gup
-          (rhs_ext (Spice.Engine.settled_time ~horizon))
-      in
-      if not (all_finite xf) then fall_back "non-finite settled state";
       (* Only the companion matrix is factored fresh: its timestep
          derives from this candidate's horizon, so it cannot be shared
          across candidates. *)
       let ext_sys = Spice.Mna.Delta.extend ctx.sys d in
+      let x0 = Numeric.Lu.Update.solve gup (ext_sys.Spice.Mna.rhs 0.0) in
+      if not (all_finite x0) then fall_back "non-finite operating point";
+      let xf =
+        Numeric.Lu.Update.solve gup
+          (ext_sys.Spice.Mna.rhs (Spice.Engine.settled_time ~horizon))
+      in
+      if not (all_finite xf) then fall_back "non-finite settled state";
       match
         Spice.Engine.threshold_scan_result
           ~options:ctx.cfg.Delay.Model.options ext_sys ~idx:ctx.sink_unknowns

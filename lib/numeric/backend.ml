@@ -19,31 +19,28 @@ let dense_fallbacks = Obs.Counter.make "sparse.dense_fallbacks"
 
 type t = D of Lu.t | S of Sparse.t
 
-let try_factor_csc ?symbolic ?dense csc =
-  let to_dense () =
-    match dense with Some m -> m | None -> Sparse.Csc.to_matrix csc
-  in
+let try_factor_csc ?symbolic csc =
   match Atomic.get current with
-  | Dense -> Result.map (fun f -> D f) (Lu.try_factor (to_dense ()))
+  | Dense -> Result.map (fun f -> D f) (Lu.try_factor (Sparse.Csc.to_matrix csc))
   | Sparse -> (
       match Sparse.try_factor ?symbolic csc with
       | Ok f -> Ok (S f)
       | Error _ -> (
           (* Borderline pivots: the dense kernel is the authority on
              singularity, so its verdict (either way) is final. *)
-          match Lu.try_factor (to_dense ()) with
+          match Lu.try_factor (Sparse.Csc.to_matrix csc) with
           | Ok f ->
               Obs.Counter.incr dense_fallbacks;
               Ok (D f)
           | Error k -> Error k))
 
-let try_factor ?symbolic m =
+let try_factor m =
   match Atomic.get current with
   | Dense -> Result.map (fun f -> D f) (Lu.try_factor m)
-  | Sparse -> try_factor_csc ?symbolic ~dense:m (Sparse.Csc.of_matrix m)
+  | Sparse -> try_factor_csc (Sparse.Csc.of_matrix m)
 
-let factor ?symbolic m =
-  match try_factor ?symbolic m with
+let factor m =
+  match try_factor m with
   | Ok f -> f
   | Error k -> raise (Lu.Singular k)
 

@@ -26,27 +26,25 @@ val kind_of_string : string -> kind option
 type t
 (** A factorisation by whichever backend was active when it was made. *)
 
-val try_factor : ?symbolic:Sparse.Symbolic.t -> Matrix.t -> (t, int) result
-(** Factor a dense-assembled matrix under the active backend.
-    [symbolic] (used only by the sparse path) supplies a precomputed
-    fill-reducing ordering; see {!Sparse.analyze}. Error codes are
-    those of {!Lu.try_factor}.
+val try_factor : Matrix.t -> (t, int) result
+(** Factor a dense-assembled matrix under the active backend; the
+    sparse path orders it with {!Sparse.analyze}. Error codes are those
+    of {!Lu.try_factor}.
+
+    @raise Invalid_argument when the matrix is not square. *)
+
+val try_factor_csc :
+  ?symbolic:Sparse.Symbolic.t -> Sparse.Csc.t -> (t, int) result
+(** Factor a sparse-assembled matrix. [symbolic] (used only by the
+    sparse path) supplies a precomputed fill-reducing ordering. The
+    dense backend, and the dense retry after a sparse pivot failure,
+    factor the {!Sparse.Csc.to_matrix} expansion. Error codes are as in
+    {!try_factor}.
 
     @raise Invalid_argument when the matrix is not square or [symbolic]
     has the wrong size. *)
 
-val try_factor_csc :
-  ?symbolic:Sparse.Symbolic.t ->
-  ?dense:Matrix.t ->
-  Sparse.Csc.t ->
-  (t, int) result
-(** Factor a triplet-assembled matrix. Under the dense backend (or on
-    sparse pivot-failure fallback) the dense image is taken from
-    [dense] when supplied — callers that already materialised the
-    matrix (e.g. {!Mna}) avoid a CSC expansion — and otherwise from
-    {!Sparse.Csc.to_matrix}. *)
-
-val factor : ?symbolic:Sparse.Symbolic.t -> Matrix.t -> t
+val factor : Matrix.t -> t
 (** @raise Lu.Singular when no usable pivot exists (either kernel). *)
 
 val size : t -> int

@@ -32,8 +32,8 @@ val map : (float -> float) -> t -> t
 
 val data : t -> float array
 (** The underlying row-major storage (entry (i,j) at [i*cols + j]).
-    Exposed for performance-critical inner loops (the transient
-    integrator); mutating it mutates the matrix. *)
+    Exposed for performance-critical inner loops ({!Sparse.Csc.of_matrix});
+    mutating it mutates the matrix. *)
 
 val of_arrays : float array array -> t
 val to_arrays : t -> float array array

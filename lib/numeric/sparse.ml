@@ -201,6 +201,50 @@ module Csc = struct
       done
     done;
     m
+
+  (* A merge of the two sorted row lists per column. Exact zeros are
+     dropped because the factor's reach, and with it the order its
+     updates are summed in, follows the pattern. *)
+  let combine f a b =
+    if a.rows <> b.rows || a.cols <> b.cols then
+      invalid_arg "Sparse.Csc.combine: dimension mismatch";
+    let cap = max (nnz a + nnz b) 1 in
+    let rowind = Array.make cap 0 and values = Array.make cap 0.0 in
+    let colptr = Array.make (a.cols + 1) 0 in
+    for j = 0 to a.cols - 1 do
+      let pa = ref a.colptr.(j) and pb = ref b.colptr.(j) in
+      let ea = a.colptr.(j + 1) and eb = b.colptr.(j + 1) in
+      let out = ref colptr.(j) in
+      while !pa < ea || !pb < eb do
+        let ra = if !pa < ea then a.rowind.(!pa) else max_int in
+        let rb = if !pb < eb then b.rowind.(!pb) else max_int in
+        let r = min ra rb in
+        let va = if ra = r then (incr pa; a.values.(!pa - 1)) else 0.0 in
+        let vb = if rb = r then (incr pb; b.values.(!pb - 1)) else 0.0 in
+        let v = f va vb in
+        if v <> 0.0 then begin
+          rowind.(!out) <- r;
+          values.(!out) <- v;
+          incr out
+        end
+      done;
+      colptr.(j + 1) <- !out
+    done;
+    { rows = a.rows; cols = a.cols; colptr; rowind; values }
+
+  (* Column-major scatter: row i receives its terms as j ascends. *)
+  let mul_vec_into t x y =
+    if Array.length x <> t.cols || Array.length y <> t.rows then
+      invalid_arg "Sparse.Csc.mul_vec_into: dimension mismatch";
+    Array.fill y 0 t.rows 0.0;
+    for j = 0 to t.cols - 1 do
+      let xj = Array.unsafe_get x j in
+      for p = t.colptr.(j) to t.colptr.(j + 1) - 1 do
+        let i = Array.unsafe_get t.rowind p in
+        Array.unsafe_set y i
+          (Array.unsafe_get y i +. (Array.unsafe_get t.values p *. xj))
+      done
+    done
 end
 
 module Symbolic = struct

@@ -62,6 +62,19 @@ module Csc : sig
 
   val to_matrix : t -> Matrix.t
 
+  val combine : (float -> float -> float) -> t -> t -> t
+  (** [combine f a b] has entry [f a_ij b_ij] wherever [a] or [b]
+      stores (i, j), a missing entry reading as [0.0]; exact-zero
+      results are dropped, so it equals {!of_matrix} of the dense
+      [f a b] when [f 0.0 0.0 = 0.0].
+      @raise Invalid_argument on a dimension mismatch. *)
+
+  val mul_vec_into : t -> float array -> float array -> unit
+  (** [mul_vec_into a x y] overwrites [y] (not aliasing [x]) with A·x,
+      summing each [y.(i)] from [0.0] in ascending column order, as a
+      dense row-major product does.
+      @raise Invalid_argument on a dimension mismatch. *)
+
   val rows : t -> int
   val cols : t -> int
   val nnz : t -> int

@@ -5,25 +5,15 @@ module Csc = Numeric.Sparse.Csc
 type t = {
   size : int;
   num_node_unknowns : int;
-  g : Numeric.Matrix.t;
-  c : Numeric.Matrix.t;
   rhs : float -> float array;
   unknown_of_node : int array;
   g_stamps : Triplets.t;
   c_stamps : Triplets.t;
   g_csc : Csc.t;
+  c_csc : Csc.t;
   g_sym : Numeric.Sparse.Symbolic.t;
   lhs_sym : Numeric.Sparse.Symbolic.t;
 }
-
-(* Replaying the triplet log into a dense matrix reproduces the exact
-   float values the old direct [add_to] stamping computed: duplicates
-   sum in insertion order either way. [Csc.of_triplets] makes the same
-   ordering guarantee, so the two images of G agree bitwise. *)
-let materialize n trips =
-  let m = Numeric.Matrix.create n n in
-  Triplets.iter trips (fun i j v -> Numeric.Matrix.add_to m i j v);
-  m
 
 (* The sparse caches are computed eagerly — [Mna.t] values are shared
    read-only across worker domains, where a lazy thunk would race.
@@ -32,25 +22,19 @@ let materialize n trips =
    doubled-timestep refactor reuse it. *)
 let finish ~size ~num_node_unknowns ~rhs ~unknown_of_node gt ct =
   let g_csc = Csc.of_triplets ~n:size gt in
-  let g_sym = Numeric.Sparse.analyze g_csc in
-  let lhs_sym =
-    let u = Triplets.create ~capacity:(Triplets.length gt + Triplets.length ct) () in
-    Triplets.iter gt (fun i j _ -> Triplets.add u i j 1.0);
-    Triplets.iter ct (fun i j _ -> Triplets.add u i j 1.0);
-    Numeric.Sparse.analyze (Csc.of_triplets ~n:size u)
-  in
+  let c_csc = Csc.of_triplets ~n:size ct in
   {
     size;
     num_node_unknowns;
-    g = materialize size gt;
-    c = materialize size ct;
     rhs;
     unknown_of_node;
     g_stamps = gt;
     c_stamps = ct;
     g_csc;
-    g_sym;
-    lhs_sym;
+    c_csc;
+    g_sym = Numeric.Sparse.analyze g_csc;
+    lhs_sym =
+      Numeric.Sparse.analyze (Csc.combine (fun _ _ -> 1.0) g_csc c_csc);
   }
 
 let build nl =
@@ -137,10 +121,9 @@ let voltage sys x node =
 
 (* G is factored in several places (DC operating point, settle probe,
    incremental base) — one helper keeps them all on the triplet path
-   with the precomputed ordering, handing the dense image over for the
-   backend's dense mode and pivot fallback. *)
+   with the precomputed ordering. *)
 let factor_g_result sys =
-  Numeric.Backend.try_factor_csc ~symbolic:sys.g_sym ~dense:sys.g sys.g_csc
+  Numeric.Backend.try_factor_csc ~symbolic:sys.g_sym sys.g_csc
 
 let factor_g sys =
   match factor_g_result sys with
@@ -210,9 +193,9 @@ module Delta = struct
     end
 
   (* The extended system replays the base triplet log and appends the
-     delta stamps, so its dense entries match what growing the dense
-     matrices entry-by-entry used to produce, and it gets fresh sparse
-     caches sized for the extended pattern. *)
+     delta stamps, so each entry sums the base stamps and then the
+     delta stamps in stamping order, and it gets fresh sparse caches
+     sized for the extended pattern. *)
   let extend (sys : base) d =
     if sys.size <> d.base_size then
       invalid_arg "Mna.Delta.extend: delta built from a different system";

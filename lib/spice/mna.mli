@@ -9,23 +9,22 @@
     Ground (node 0) is eliminated; unknown indices therefore run over
     non-ground nodes first, then branches.
 
-    Assembly goes through a triplet stamp log, which feeds both matrix
-    backends: the dense images [g]/[c] (a bit-exact replay of the
-    stamps) and the sparse image [g_csc] with precomputed fill-reducing
-    orderings. The sparse caches are built eagerly so an [Mna.t] can be
+    Assembly goes through a triplet stamp log summed into CSC, the one
+    stored matrix format (dense consumers expand it with
+    {!Numeric.Sparse.Csc.to_matrix}), with precomputed fill-reducing
+    orderings. These caches are built eagerly so an [Mna.t] can be
     shared read-only across worker domains. *)
 
 type t = {
   size : int;  (** total number of unknowns *)
   num_node_unknowns : int;  (** non-ground node count *)
-  g : Numeric.Matrix.t;  (** static (conductance/incidence) part *)
-  c : Numeric.Matrix.t;  (** reactive (capacitance/inductance) part *)
   rhs : float -> float array;  (** b(t) *)
   unknown_of_node : int array;
       (** netlist node id → unknown index; ground maps to -1 *)
-  g_stamps : Numeric.Sparse.Triplets.t;  (** the stamp log behind [g] *)
-  c_stamps : Numeric.Sparse.Triplets.t;  (** the stamp log behind [c] *)
-  g_csc : Numeric.Sparse.Csc.t;  (** sparse image of [g] *)
+  g_stamps : Numeric.Sparse.Triplets.t;  (** the stamp log behind [g_csc] *)
+  c_stamps : Numeric.Sparse.Triplets.t;  (** the stamp log behind [c_csc] *)
+  g_csc : Numeric.Sparse.Csc.t;  (** G: static (conductance/incidence) part *)
+  c_csc : Numeric.Sparse.Csc.t;  (** C: reactive (capacitance/inductance) part *)
   g_sym : Numeric.Sparse.Symbolic.t;  (** ordering for G's pattern *)
   lhs_sym : Numeric.Sparse.Symbolic.t;
       (** ordering for the union pattern of G and C — valid for the
@@ -56,8 +55,8 @@ val voltage : t -> float array -> int -> float
     their indices). Consumers pick the representation they need:
     {!g_terms} renders the static stamps as rank-1 update vectors for
     {!Numeric.Lu.Update} (DC and settle solves without refactoring),
-    while {!extend} materialises the full extended system for the
-    transient, whose companion matrix depends on the timestep anyway. *)
+    while {!extend} builds the full extended system for the transient,
+    whose companion matrix depends on the timestep anyway. *)
 module Delta : sig
   type mna := t
 
@@ -90,9 +89,10 @@ module Delta : sig
       with [pad = added_unknowns]. Ground-to-ground stamps vanish. *)
 
   val extend : mna -> t -> mna
-  (** The extended system as a plain [Mna.t]: matrices grown and
-      stamped, right-hand side zero-padded, node→unknown map
-      unchanged.
+  (** The extended system as a plain [Mna.t]: the base stamp logs
+      replayed with the delta stamps appended, summed into fresh CSC
+      matrices with fresh orderings; right-hand side zero-padded,
+      node→unknown map unchanged.
       @raise Invalid_argument when [d] was built from a system of a
       different size. *)
 end

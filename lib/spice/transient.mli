@@ -1,11 +1,12 @@
 (** Fixed-step transient integration of MNA systems.
 
-    Both methods factor the iteration matrix once and back-substitute
-    per step. The factorisation goes through {!Numeric.Backend}: under
-    the default sparse backend a simulation costs one near-O(nnz)
-    sparse factorisation (near-tree MNA patterns produce little fill)
-    plus an O(nnz) back-substitution per step; under the dense backend
-    the classic O(n³) factorisation plus O(n²) per step:
+    Both methods assemble the iteration and explicit-side matrices
+    from the system's CSC G and C in O(nnz), factor the former once
+    through {!Numeric.Backend} and back-substitute per step after an
+    O(nnz) explicit-side product. Under the default sparse backend the
+    factorisation is near-O(nnz) (near-tree MNA patterns produce little
+    fill) and each solve O(nnz); under the dense backend they are the
+    classic O(n³) and O(n²):
 
     - backward Euler:  (G + C/h)·x' = (C/h)·x + b(t')
     - trapezoidal:     (G + 2C/h)·x' = (2C/h − G)·x + b(t) + b(t')

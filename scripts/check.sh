@@ -59,6 +59,14 @@ dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 --jobs 2 \
   --matrix-backend dense > "$tmpdir/dense2.out" 2>/dev/null
 diff -u "$tmpdir/jobs2.out" "$tmpdir/dense2.out"
 
+echo "== smoke: dense backend matches sparse on the RLC extension =="
+# The only diff whose transients carry inductor branch rows.
+dune exec bin/tables.exe -- --ext rlc --trials 2 --sizes 5 \
+  > "$tmpdir/rlc_sparse.out" 2>/dev/null
+dune exec bin/tables.exe -- --ext rlc --trials 2 --sizes 5 \
+  --matrix-backend dense > "$tmpdir/rlc_dense.out" 2>/dev/null
+diff -u "$tmpdir/rlc_sparse.out" "$tmpdir/rlc_dense.out"
+
 echo "== smoke: dense backend matches sparse under 20% fault injection =="
 dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 \
   --fault-rate 0.2 --log-level quiet > "$tmpdir/fault_sparse.out" 2>/dev/null

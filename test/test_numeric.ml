@@ -312,8 +312,8 @@ let test_sparse_triplets_sum () =
   Alcotest.(check (float 0.0)) "a11" 2.0 (Matrix.get m 1 1);
   Alcotest.(check (float 0.0)) "a10" (-1.0) (Matrix.get m 1 0);
   Alcotest.(check (float 0.0)) "absent entry" 0.0 (Matrix.get m 0 1);
-  (* Replaying the triplet log into a dense matrix is the bit-identity
-     contract the Mna materialisation relies on. *)
+  (* Replaying the triplet log into a dense matrix gives the same
+     entries as the CSC: duplicates sum in insertion order either way. *)
   let replay = Matrix.create 2 2 in
   Sparse.Triplets.iter t (fun i j v -> Matrix.add_to replay i j v);
   Alcotest.(check (float 0.0)) "replay matches csc" 0.0

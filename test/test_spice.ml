@@ -355,6 +355,106 @@ let test_trace_csv_and_append () =
     (Invalid_argument "Trace.append: probe mismatch") (fun () ->
       ignore (Spice.Trace.append t1 mismatched))
 
+(* The companion assembly against a dense reference: Matrix.scale/add/
+   sub build G + sC and sC - G, the active backend factors the lhs with
+   the same ordering, and a dense mat-vec drives the steps. Every
+   recorded value must match bit for bit. *)
+let dense_transient (sys : Spice.Mna.t) ~method_ ~dt ~steps =
+  let open Numeric in
+  let g = Sparse.Csc.to_matrix sys.Spice.Mna.g_csc in
+  let c = Sparse.Csc.to_matrix sys.Spice.Mna.c_csc in
+  let lhs, explicit =
+    match method_ with
+    | Spice.Transient.Backward_euler ->
+        let ch = Matrix.scale (1.0 /. dt) c in
+        (Matrix.add g ch, ch)
+    | Spice.Transient.Trapezoidal ->
+        let c2h = Matrix.scale (2.0 /. dt) c in
+        (Matrix.add g c2h, Matrix.sub c2h g)
+  in
+  let lu =
+    match
+      Backend.try_factor_csc ~symbolic:sys.Spice.Mna.lhs_sym
+        (Sparse.Csc.of_matrix lhs)
+    with
+    | Ok f -> f
+    | Error k -> Alcotest.failf "companion matrix singular at %d" k
+  in
+  let n = sys.Spice.Mna.size in
+  let states = Array.init n (fun _ -> Array.make steps 0.0) in
+  let x = ref (Array.make n 0.0) in
+  let b_prev = ref (sys.Spice.Mna.rhs 0.0) in
+  for s = 0 to steps - 1 do
+    let b' = sys.Spice.Mna.rhs (float_of_int (s + 1) *. dt) in
+    let ex = Matrix.mul_vec explicit !x in
+    let rhs =
+      Array.mapi
+        (fun i e ->
+          match method_ with
+          | Spice.Transient.Backward_euler -> e +. b'.(i)
+          | Spice.Transient.Trapezoidal -> e +. !b_prev.(i) +. b'.(i))
+        ex
+    in
+    x := Backend.solve lu rhs;
+    b_prev := b';
+    Array.iteri (fun u v -> states.(u).(s) <- v) !x
+  done;
+  (states, !x)
+
+(* An RC net with a cycle (chord a–c), so the pattern is not a tree. *)
+let rc_mesh () =
+  let nl = Netlist.create () in
+  let inp = Netlist.node nl "in" in
+  let a = Netlist.node nl "a" and b = Netlist.node nl "b" in
+  let c = Netlist.node nl "c" and d = Netlist.node nl "d" in
+  Netlist.vsource nl inp Netlist.ground step01;
+  Netlist.resistor nl inp a 100.0;
+  Netlist.resistor nl a b 200.0;
+  Netlist.resistor nl b c 150.0;
+  Netlist.resistor nl a c 300.0;
+  Netlist.resistor nl c d 250.0;
+  List.iter2
+    (fun node f -> Netlist.capacitor nl node Netlist.ground f)
+    [ a; b; c; d ]
+    [ 1e-13; 2e-13; 1.5e-13; 3e-13 ];
+  nl
+
+let test_transient_matches_dense_reference () =
+  let bits a = Array.map Int64.bits_of_float a in
+  let prev = Numeric.Backend.kind () in
+  Fun.protect ~finally:(fun () -> Numeric.Backend.set_kind prev) @@ fun () ->
+  List.iter
+    (fun (label, nl) ->
+      let sys = Spice.Mna.build nl in
+      let n = sys.Spice.Mna.size in
+      List.iter
+        (fun kind ->
+          Numeric.Backend.set_kind kind;
+          List.iter
+            (fun (mname, method_) ->
+              let dt = 1e-11 and steps = 300 in
+              let run =
+                Spice.Transient.run sys ~method_ ~x0:(Array.make n 0.0)
+                  ~t0:0.0 ~dt ~steps ~probes:(Array.init n Fun.id)
+              in
+              let states, final = dense_transient sys ~method_ ~dt ~steps in
+              let what =
+                Printf.sprintf "%s, %s, %s" label mname
+                  (Numeric.Backend.kind_to_string kind)
+              in
+              Alcotest.(check bool)
+                (what ^ ": states bit-equal") true
+                (Array.for_all2
+                   (fun a b -> bits a = bits b)
+                   run.Spice.Transient.states states);
+              Alcotest.(check bool)
+                (what ^ ": final bit-equal") true
+                (bits run.Spice.Transient.final = bits final))
+            [ ("euler", Spice.Transient.Backward_euler);
+              ("trap", Spice.Transient.Trapezoidal) ])
+        [ Numeric.Backend.Sparse; Numeric.Backend.Dense ])
+    [ ("rc mesh", rc_mesh ()); ("rlc", underdamped_rlc ()) ]
+
 (* Stamp deltas: an added element as rank-1 terms vs the extended
    system. *)
 let test_delta_extend_matches_stamps () =
@@ -372,6 +472,9 @@ let test_delta_extend_matches_stamps () =
   Spice.Mna.Delta.add_conductance d p (-1) 5e-4;
   Spice.Mna.Delta.add_capacitance d p (-1) 2e-12;
   let ext = Spice.Mna.Delta.extend sys d in
+  let sys_g = Numeric.Sparse.Csc.to_matrix sys.Spice.Mna.g_csc in
+  let ext_g = Numeric.Sparse.Csc.to_matrix ext.Spice.Mna.g_csc in
+  let ext_c = Numeric.Sparse.Csc.to_matrix ext.Spice.Mna.c_csc in
   let nt = ext.Spice.Mna.size in
   Alcotest.(check int) "one appended unknown" (sys.Spice.Mna.size + 1) nt;
   (* Extended G must equal the embedded base plus the same stamps
@@ -379,7 +482,7 @@ let test_delta_extend_matches_stamps () =
   let expect = Numeric.Matrix.create nt nt in
   for i = 0 to sys.Spice.Mna.size - 1 do
     for j = 0 to sys.Spice.Mna.size - 1 do
-      Numeric.Matrix.set expect i j (Numeric.Matrix.get sys.Spice.Mna.g i j)
+      Numeric.Matrix.set expect i j (Numeric.Matrix.get sys_g i j)
     done
   done;
   List.iter
@@ -391,15 +494,15 @@ let test_delta_extend_matches_stamps () =
       done)
     (Spice.Mna.Delta.g_terms d);
   Alcotest.(check (float 1e-15)) "G matches rank-1 rendering" 0.0
-    (Numeric.Matrix.max_abs (Numeric.Matrix.sub ext.Spice.Mna.g expect));
+    (Numeric.Matrix.max_abs (Numeric.Matrix.sub ext_g expect));
   Alcotest.(check (float 0.0)) "C stamped on pad diagonal" 2e-12
-    (Numeric.Matrix.get ext.Spice.Mna.c p p);
+    (Numeric.Matrix.get ext_c p p);
   let b = ext.Spice.Mna.rhs 0.5 in
   Alcotest.(check int) "rhs grows" nt (Array.length b);
   Alcotest.(check (float 0.0)) "rhs pad is zero" 0.0 b.(p);
   (* And the DC state through the Woodbury update equals a fresh solve
      of the extended matrix. *)
-  match Numeric.Lu.try_factor sys.Spice.Mna.g with
+  match Numeric.Lu.try_factor sys_g with
   | Error _ -> Alcotest.fail "base G did not factor"
   | Ok base -> (
       match
@@ -408,7 +511,7 @@ let test_delta_extend_matches_stamps () =
       | None -> Alcotest.fail "delta update degenerate"
       | Some up ->
           let x_upd = Numeric.Lu.Update.solve up b in
-          let x_fresh = Numeric.Lu.solve_matrix ext.Spice.Mna.g b in
+          let x_fresh = Numeric.Lu.solve_matrix ext_g b in
           Alcotest.(check (float 1e-9)) "DC states agree" 0.0
             (Numeric.Vec.max_abs_diff x_upd x_fresh))
 
@@ -428,6 +531,8 @@ let suites =
           test_rlc_oscillation_period;
         Alcotest.test_case "transient continuation" `Quick
           test_transient_continuation;
+        Alcotest.test_case "transient = dense reference" `Quick
+          test_transient_matches_dense_reference;
         Alcotest.test_case "floating node rejected" `Quick
           test_floating_node_rejected;
         Alcotest.test_case "engine validation" `Quick

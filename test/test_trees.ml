@@ -64,21 +64,25 @@ let test_pd_rejects_bad_c () =
     (Invalid_argument "Pd.construct: need 0 <= c <= 1") (fun () ->
       ignore (Trees.Pd.construct ~c:1.5 net))
 
+(* Ends of the spectrum are clean bounds: c = 0 is the MST (least
+   cost) and c = 1 the shortest-path tree (least radius). The middle
+   must lie within them on cost and radius (with float slack). There
+   is no radius(c=0.5) <= radius(c=0) clause: Prim–Dijkstra radius is
+   not monotone in c, and nets (seed 88, 8 pins) and (seed 15, 17 pins)
+   break it. Both run as fixed inputs on every case below. *)
+let pd_tradeoff_holds (seed, pins) =
+  let net = random_net seed pins in
+  let r0 = Trees.Pd.construct ~c:0.0 net in
+  let r5 = Trees.Pd.construct ~c:0.5 net in
+  let r1 = Trees.Pd.construct ~c:1.0 net in
+  Routing.cost r0 <= Routing.cost r5 +. 1e-6
+  && Routing.cost r5 <= Routing.cost r1 +. 1e-6
+  && Trees.Metrics.radius r1 <= Trees.Metrics.radius r5 +. 1e-6
+
 let prop_pd_monotone_tradeoff =
   QCheck.Test.make ~name:"PD: radius shrinks, cost grows with c" ~count:30
     QCheck.(pair small_int (int_range 4 20))
-    (fun (seed, pins) ->
-      let net = random_net seed pins in
-      let r0 = Trees.Pd.construct ~c:0.0 net in
-      let r5 = Trees.Pd.construct ~c:0.5 net in
-      let r1 = Trees.Pd.construct ~c:1.0 net in
-      (* Ends of the spectrum are clean bounds; the middle must lie
-         within them (with float slack). *)
-      Routing.cost r0 <= Routing.cost r5 +. 1e-6
-      && Routing.cost r5 <= Routing.cost r1 +. 1e-6
-      && Trees.Metrics.radius r1 <= Trees.Metrics.radius r5 +. 1e-6
-      && Trees.Metrics.radius r5 <= Trees.Metrics.radius r0 +. 1e-6)
-      |> fun t -> t
+    (fun net -> List.for_all pd_tradeoff_holds [ (88, 8); (15, 17); net ])
 
 let prop_pd_is_spanning_tree =
   QCheck.Test.make ~name:"PD produces spanning trees" ~count:30
