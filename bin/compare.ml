@@ -23,11 +23,17 @@ let algorithms tech model net =
       (Nontree.Ldrg.run ~model ~tech (Ert.construct ~tech net))
         .Nontree.Ldrg.final ) ]
 
+(* (search, eval) delay models for each --model name. *)
+let models =
+  [ ("moment", (Delay.Model.First_moment, Delay.Model.First_moment));
+    ( "spice",
+      ( Delay.Model.Spice Delay.Model.fast_spice,
+        Delay.Model.Spice Delay.Model.default_spice ) );
+    ("mixed", (Delay.Model.First_moment, Delay.Model.Spice Delay.Model.fast_spice))
+  ]
+
 let finish_observability ~model_name ~matrix_backend ~metrics_json ~trace =
-  if trace then (
-    match Obs.span_summary () with
-    | Some s -> Printf.eprintf "%s%!" s
-    | None -> ());
+  Cli.print_span_summary ~trace;
   match metrics_json with
   | None -> ()
   | Some path ->
@@ -42,20 +48,12 @@ let finish_observability ~model_name ~matrix_backend ~metrics_json ~trace =
       Printf.eprintf "wrote metrics manifest %s\n%!" path
 
 let run net_file model_name matrix_backend metrics_json trace =
-  if trace || metrics_json <> None then Obs.set_enabled true;
-  Numeric.Backend.set_kind matrix_backend;
+  Cli.setup ~matrix_backend ~metrics_json ~trace;
   match Geom.Netfile.read net_file with
   | Error e -> `Error (false, net_file ^ ": " ^ e)
   | Ok net ->
       let tech = Circuit.Technology.table1 in
-      let search, eval =
-        match model_name with
-        | "moment" -> (Delay.Model.First_moment, Delay.Model.First_moment)
-        | "spice" ->
-            ( Delay.Model.Spice Delay.Model.fast_spice,
-              Delay.Model.Spice Delay.Model.default_spice )
-        | _ -> (Delay.Model.First_moment, Delay.Model.Spice Delay.Model.fast_spice)
-      in
+      let search, eval = List.assoc model_name models in
       let rows = algorithms tech search net in
       let mst = List.assoc "MST" rows in
       let base_delay = Delay.Model.max_delay eval ~tech mst in
@@ -86,45 +84,20 @@ let net_file =
 
 let model =
   Arg.(
-    value & opt string "mixed"
+    value
+    & opt (enum (List.map (fun (name, _) -> (name, name)) models)) "mixed"
     & info [ "m"; "model" ] ~docv:"MODEL"
         ~doc:
           "moment (all first-moment), spice (SPICE search and eval), or \
            mixed (first-moment search, SPICE eval; default).")
-
-let matrix_backend =
-  Arg.(
-    value
-    & opt
-        (enum [ ("sparse", Numeric.Backend.Sparse); ("dense", Numeric.Backend.Dense) ])
-        Numeric.Backend.Sparse
-    & info [ "matrix-backend" ] ~docv:"KIND"
-        ~doc:
-          "Linear-algebra backend for MNA factorisations: sparse (the \
-           default) or dense. Either prints the same bytes.")
-
-let metrics_json =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-json" ] ~docv:"PATH"
-        ~doc:
-          "Write a nontree-obs-v1 run manifest (counters, histograms, trace \
-           spans) to $(docv). Stdout is unchanged.")
-
-let trace =
-  Arg.(
-    value & flag
-    & info [ "trace" ]
-        ~doc:
-          "Record tracing spans and print a per-span summary to stderr after \
-           the run.")
 
 let cmd =
   let doc = "compare all routing constructions on one net" in
   Cmd.v
     (Cmd.info "compare" ~doc)
     Term.(
-      ret (const run $ net_file $ model $ matrix_backend $ metrics_json $ trace))
+      ret
+        (const run $ net_file $ model $ Cli.matrix_backend $ Cli.metrics_json
+        $ Cli.trace))
 
 let () = exit (Cmd.eval cmd)

@@ -1,14 +1,12 @@
-(* obs_check: validate a nontree-obs-v1 run manifest or a
-   nontree-bench-v1 benchmark baseline (dispatched on the "schema"
-   field).
+(* obs_check: validate a nontree-obs-v1 run manifest, as written by
+   --metrics-json on bin/tables and bin/compare.
 
      bin/obs_check.exe run.obs.json
-     bin/obs_check.exe BENCH_nontree.json
 
    Exit 0 when the file parses and every required section has the
-   right shape; 1 on a validation failure; 2 on usage/IO errors. Used
-   by scripts/check.sh after the observability smoke run and on the
-   committed benchmark baseline. *)
+   right shape; 1 on a validation failure (including any other
+   "schema"); 2 on usage/IO errors. Used by scripts/check.sh after the
+   observability smoke runs. *)
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("obs_check: " ^ s); exit 1) fmt
 
@@ -75,81 +73,6 @@ let check_histogram (name, h) =
     fail "histogram %S: count %d but counts sum to %d" name count sum_of_counts;
   ignore (expect_number (name ^ ".sum") (m "sum"))
 
-let bench_schema_version = "nontree-bench-v1"
-
-let check_bench_section i s =
-  let ctx = Printf.sprintf "sections[%d]" i in
-  let m k =
-    match Obs.Json.member k s with
-    | Some v -> v
-    | None -> fail "%s missing %S" ctx k
-  in
-  ignore (expect_string (ctx ^ ".name") (m "name"));
-  if expect_number (ctx ^ ".wall_s") (m "wall_s") < 0.0 then
-    fail "%s.wall_s is negative" ctx;
-  List.iter
-    (fun k ->
-      if expect_int (ctx ^ "." ^ k) (m k) < 0 then
-        fail "%s.%s is negative" ctx k)
-    [ "oracle_calls"; "cache_hits"; "cache_misses" ];
-  let rate = expect_number (ctx ^ ".cache_hit_rate") (m "cache_hit_rate") in
-  if rate < 0.0 || rate > 1.0 then fail "%s.cache_hit_rate not in [0,1]" ctx
-
-let check_bench json =
-  List.iter
-    (fun k -> ignore (expect_int k (get k json)))
-    [ "jobs"; "seed"; "trials" ];
-  (match get "cache_enabled" json with
-  | Obs.Json.Bool _ -> ()
-  | _ -> fail "\"cache_enabled\" is not a boolean");
-  let backend = expect_string "matrix_backend" (get "matrix_backend" json) in
-  if backend <> "sparse" && backend <> "dense" then
-    fail "matrix_backend %S, want \"sparse\" or \"dense\"" backend;
-  List.iteri
-    (fun i v -> ignore (expect_int (Printf.sprintf "sizes[%d]" i) v))
-    (expect_list "sizes" (get "sizes" json));
-  if expect_number "total_wall_s" (get "total_wall_s" json) < 0.0 then
-    fail "total_wall_s is negative";
-  let inc = get "incremental" json in
-  ignore (expect_obj "incremental" inc);
-  (match Obs.Json.member "enabled" inc with
-  | Some (Obs.Json.Bool _) -> ()
-  | _ -> fail "incremental.enabled is not a boolean");
-  List.iter
-    (fun k ->
-      match Obs.Json.member k inc with
-      | Some v ->
-          if expect_int ("incremental." ^ k) v < 0 then
-            fail "incremental.%s is negative" k
-      | None -> fail "incremental missing %S" k)
-    [ "rank1_updates"; "hits"; "fallbacks"; "lu_factorizations";
-      "sparse_factorizations" ];
-  (match Obs.Json.member "backend_comparison" json with
-  | None -> ()
-  | Some cmp ->
-      ignore (expect_obj "backend_comparison" cmp);
-      let m k =
-        match Obs.Json.member k cmp with
-        | Some v -> v
-        | None -> fail "backend_comparison missing %S" k
-      in
-      ignore (expect_string "backend_comparison.model" (m "model"));
-      List.iter
-        (fun k ->
-          if expect_int ("backend_comparison." ^ k) (m k) < 0 then
-            fail "backend_comparison.%s is negative" k)
-        [ "net_size"; "nets"; "dense_lu_factorizations";
-          "sparse_factorizations" ];
-      List.iter
-        (fun k ->
-          if expect_number ("backend_comparison." ^ k) (m k) < 0.0 then
-            fail "backend_comparison.%s is negative" k)
-        [ "dense_wall_s"; "sparse_wall_s"; "speedup" ]);
-  let sections = expect_list "sections" (get "sections" json) in
-  List.iteri check_bench_section sections;
-  Printf.printf "ok: bench baseline, %d sections, backend %s\n"
-    (List.length sections) backend
-
 let check_manifest json =
   ignore (expect_string "git" (get "git" json));
   List.iteri
@@ -200,7 +123,4 @@ let () =
   in
   let schema = expect_string "schema" (get "schema" json) in
   if schema = Obs.Manifest.schema_version then check_manifest json
-  else if schema = bench_schema_version then check_bench json
-  else
-    fail "schema %S, want %S or %S" schema Obs.Manifest.schema_version
-      bench_schema_version
+  else fail "schema %S, want %S" schema Obs.Manifest.schema_version

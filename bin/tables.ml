@@ -123,8 +123,7 @@ let run table figure ext trials sizes seed svg_dir fault_rate fault_seed
   Logs.set_level log_level;
   if jobs < 1 then `Error (false, "--jobs must be >= 1")
   else begin
-    if trace || metrics_json <> None then Obs.set_enabled true;
-    Numeric.Backend.set_kind matrix_backend;
+    Cli.setup ~matrix_backend ~metrics_json ~trace;
     Nontree_error.Counters.reset ();
     Nontree.Oracle.Cache.reset ();
     Nontree.Oracle.Cache.set_enabled (not no_cache);
@@ -147,10 +146,7 @@ let run table figure ext trials sizes seed svg_dir fault_rate fault_seed
     (match Nontree.Oracle.Cache.summary () with
     | Some line -> Printf.eprintf "%s\n%!" line
     | None -> ());
-    if trace then (
-      match Obs.span_summary () with
-      | Some s -> Printf.eprintf "%s%!" s
-      | None -> ());
+    Cli.print_span_summary ~trace;
     (* Write the manifest even when dispatch errored: a partial run's
        counters are exactly what post-mortems want. *)
     (match metrics_json with
@@ -243,38 +239,6 @@ let no_incremental =
            greedy loops (enabled by default; incremental runs print the \
            same bytes, only factorisation counts change).")
 
-let matrix_backend =
-  Arg.(
-    value
-    & opt
-        (enum [ ("sparse", Numeric.Backend.Sparse); ("dense", Numeric.Backend.Dense) ])
-        Numeric.Backend.Sparse
-    & info [ "matrix-backend" ] ~docv:"KIND"
-        ~doc:
-          "Linear-algebra backend for MNA factorisations: sparse (CSC + \
-           fill-reducing ordering, the default) or dense LU. Either backend \
-           prints the same bytes; only wall time and factorisation counters \
-           change.")
-
-let metrics_json =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-json" ] ~docv:"PATH"
-        ~doc:
-          "Write a nontree-obs-v1 run manifest (git describe, argv, run \
-           parameters, counters, histograms, trace spans, cache stats) to \
-           $(docv). Enables span recording; table output on stdout is \
-           unchanged.")
-
-let trace =
-  Arg.(
-    value & flag
-    & info [ "trace" ]
-        ~doc:
-          "Record tracing spans and print a per-span summary (call count, \
-           total wall time) to stderr after the run.")
-
 let log_level =
   let levels =
     [ ("quiet", None);
@@ -299,6 +263,6 @@ let cmd =
       ret
         (const run $ table $ figure $ ext $ trials $ sizes $ seed $ svg_dir
         $ fault_rate $ fault_seed $ jobs $ no_cache $ no_incremental
-        $ matrix_backend $ metrics_json $ trace $ log_level))
+        $ Cli.matrix_backend $ Cli.metrics_json $ Cli.trace $ log_level))
 
 let () = exit (Cmd.eval cmd)

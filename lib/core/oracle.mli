@@ -38,9 +38,10 @@ val guard : (Routing.t -> float) -> Routing.t -> float
     last bits can differ from a fresh plain one: cached and uncached
     runs agree at printed precision, not in [%h].
 
-    Disabled by default (library semantics unchanged); the binaries
-    enable it unless [--no-cache] is given. Failed evaluations are never
-    cached, so retry behaviour under fault injection is unaffected. At
+    Disabled by default (library semantics unchanged). Of the binaries
+    only [bin/tables] enables it, unless [--no-cache] is given;
+    [bin/compare] and [bin/route] run uncached. Failed evaluations are
+    never cached, so retry behaviour under fault injection is unaffected. At
     most 200_000 entries are held; beyond that results are computed but
     not stored. All state is domain-safe: the table is mutex-protected
     and the counters are atomics. *)
@@ -57,7 +58,7 @@ module Cache : sig
 
   val summary : unit -> string option
   (** One human-readable line ("oracle cache: H hits, M misses ...") —
-      printed by the binaries next to the robustness summary. The hit
+      printed by [bin/tables] next to the robustness summary. The hit
       rate reads "n/a" (never NaN) when the cache saw no traffic;
       [None] only when the cache is disabled and idle. *)
 

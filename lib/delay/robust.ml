@@ -57,8 +57,7 @@ let count_fallback = function
   | Model.Elmore_tree -> Nontree_error.Counters.incr_elmore_fallbacks ()
   | _ -> Nontree_error.Counters.incr_moment_fallbacks ()
 
-(* Process-wide tally of robust oracle evaluations — the denominator
-   the bench harness reports next to cache hit rates. A registry
+(* Process-wide tally of robust oracle evaluations. A registry
    counter, so it lands in nontree-obs-v1 manifests as
    "oracle.evaluations". *)
 let evaluation_counter = Obs.Counter.make "oracle.evaluations"
@@ -68,9 +67,6 @@ let evaluation_counter = Obs.Counter.make "oracle.evaluations"
 let evaluation_seconds =
   Obs.Histogram.make "oracle.eval_seconds"
     ~buckets:[| 1e-5; 1e-4; 1e-3; 1e-2; 0.1; 1.0; 10.0 |]
-
-let evaluation_count () = Obs.Counter.value evaluation_counter
-let reset_evaluation_count () = Obs.Counter.set evaluation_counter 0
 
 let sink_delays ?(policy = default_policy) ~model ~tech r =
   if policy.max_attempts < 1 then

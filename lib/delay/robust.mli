@@ -67,11 +67,3 @@ val max_delay_exn :
   Routing.t ->
   float
 (** @raise Nontree_error.Error when retries and fallback are exhausted. *)
-
-val evaluation_count : unit -> int
-(** Process-wide number of robust oracle evaluations ({!sink_delays}
-    entries, across all domains) since the last
-    {!reset_evaluation_count} — the oracle-call count the bench
-    harness records next to wall time and cache hit rates. *)
-
-val reset_evaluation_count : unit -> unit

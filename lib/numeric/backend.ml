@@ -2,11 +2,6 @@ type kind = Dense | Sparse
 
 let kind_to_string = function Dense -> "dense" | Sparse -> "sparse"
 
-let kind_of_string = function
-  | "dense" -> Some Dense
-  | "sparse" -> Some Sparse
-  | _ -> None
-
 let current = Atomic.make Sparse
 let set_kind k = Atomic.set current k
 let kind () = Atomic.get current

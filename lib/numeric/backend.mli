@@ -21,7 +21,6 @@ val set_kind : kind -> unit
 
 val kind : unit -> kind
 val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
 
 type t
 (** A factorisation by whichever backend was active when it was made. *)

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Full verification: build, unit + property tests, a smoke table run,
 # a fault-injection smoke run (README "Robustness & fallback
-# semantics"), byte diffs across every switch, and one pass of each
-# perfbench workload. Exits nonzero on the first failure.
+# semantics"), byte diffs across every switch, nontree-obs-v1 manifest
+# checks on bin/tables and bin/compare, and one pass of each perfbench
+# workload. Exits nonzero on the first failure.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -95,14 +96,22 @@ echo "sparse run: sparse=$sparse_f dense-residual=$lu_resid; dense run: lu=$dens
 [ -n "$sparse_f" ] && [ -n "$dense_lu" ] && [ $((10 * sparse_f)) -ge $((9 * dense_lu)) ]
 [ -n "$lu_resid" ] && [ $((10 * lu_resid)) -le "$dense_lu" ]
 
-echo "== committed bench baseline has a valid nontree-bench-v1 schema =="
-dune exec bin/obs_check.exe -- BENCH_nontree.json
-
 echo "== smoke: observability manifest is valid, stdout unchanged =="
 dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 --jobs 2 \
   --metrics-json "$tmpdir/obs.json" > "$tmpdir/obs.out" 2>/dev/null
 dune exec bin/obs_check.exe -- "$tmpdir/obs.json"
 diff -u "$tmpdir/seq.out" "$tmpdir/obs.out"
+
+echo "== compare: manifest is valid, unknown --model is a usage error =="
+dune exec bin/netgen.exe -- --pins 8 --seed 4 > "$tmpdir/net.txt"
+dune exec bin/compare.exe -- "$tmpdir/net.txt" --model moment \
+  --metrics-json "$tmpdir/compare.json" > /dev/null 2>&1
+dune exec bin/obs_check.exe -- "$tmpdir/compare.json"
+if dune exec bin/compare.exe -- "$tmpdir/net.txt" --model bogus \
+  > /dev/null 2>&1; then
+  echo "compare accepted --model bogus" >&2
+  exit 1
+fi
 
 echo "== perfbench: one pass of each workload, every check passing =="
 # Expected results in %h, the slow-path re-score and the per-net
