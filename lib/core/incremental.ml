@@ -192,11 +192,11 @@ let spice_delays ctx ~tech r edge =
          derives from this candidate's horizon, so it cannot be shared
          across candidates. *)
       let ext_sys = Spice.Mna.Delta.extend ctx.sys d in
-      let x0 = Numeric.Lu.Update.solve gup (ext_sys.Spice.Mna.rhs 0.0) in
+      let x0 = Numeric.Lu.Update.solve gup (Spice.Mna.rhs ext_sys 0.0) in
       if not (all_finite x0) then fall_back "non-finite operating point";
       let xf =
         Numeric.Lu.Update.solve gup
-          (ext_sys.Spice.Mna.rhs (Spice.Engine.settled_time ~horizon))
+          (Spice.Mna.rhs ext_sys (Spice.Engine.settled_time ~horizon))
       in
       if not (all_finite xf) then fall_back "non-finite settled state";
       match

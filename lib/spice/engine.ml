@@ -109,78 +109,92 @@ let transient ?options nl ~tstop ~probes =
    the horizon gives the exact final DC values. *)
 let settled_time ~horizon = 1e6 *. horizon
 
-let threshold_scan_result ?(options = default_options) ?(fraction = 0.5) sys
-    ~idx ~x0 ~xf ~horizon =
+(* Registry counters: scans run and steps integrated by them, added
+   once per chunk. Their ratio is the mean scan length. *)
+let scans = Obs.Counter.make "spice.scans"
+let scan_steps = Obs.Counter.make "spice.scan_steps"
+
+let threshold_scan_result ?(options = default_options) sys ~idx ~x0 ~xf
+    ~horizon =
   if horizon <= 0.0 then
     invalid_arg "Engine.threshold_scan: horizon must be positive";
+  Obs.Counter.incr scans;
   let num_probes = Array.length idx in
   let target =
-    Array.map (fun u -> x0.(u) +. (fraction *. (xf.(u) -. x0.(u)))) idx
+    Array.map (fun u -> x0.(u) +. (0.5 *. (xf.(u) -. x0.(u)))) idx
   in
+  (* A probe that settles below its start crosses its target from
+     above. *)
+  let falling = Array.map (fun u -> xf.(u) < x0.(u)) idx in
   let found = Array.make num_probes None in
-  let prev_v = Array.map (fun u -> x0.(u)) idx in
   let remaining = ref num_probes in
-  (* Mark probes that already start at their target (degenerate). *)
+  (* A probe that starts at its target crossed it at t = 0. *)
   Array.iteri
     (fun p u ->
-      if x0.(u) >= target.(p) then begin
+      if x0.(u) = target.(p) then begin
         found.(p) <- Some 0.0;
         decr remaining
       end)
     idx;
-  let dt = horizon /. float_of_int options.steps_per_chunk in
-  let x = ref x0 in
-  let t0 = ref 0.0 in
-  let extensions = ref 0 in
-  let chunk_steps = ref options.steps_per_chunk in
+  (* The sample before the current step, per probe, and its time: carried
+     across chunk boundaries, where the last step's time is the next
+     chunk's start. *)
+  let prev_v = Array.map (fun u -> x0.(u)) idx in
+  let prev_t = ref 0.0 in
   let failure = ref None in
-  while
-    !failure = None && !remaining > 0 && !extensions <= options.max_extensions
-  do
-    match
-      Transient.run sys ~method_:options.method_ ~x0:!x ~t0:!t0 ~dt
-        ~steps:!chunk_steps ~probes:idx
-    with
-    | exception Numeric.Lu.Singular k ->
-        failure := Some (singular_error ~stage:"spice.transient" k)
-    | chunk -> (
-        match check_finite ~stage:"spice.transient" chunk.Transient.final with
-        | Error e -> failure := Some e
-        | Ok () ->
-            for p = 0 to num_probes - 1 do
-              if found.(p) = None then begin
-                let col = chunk.Transient.states.(p) in
-                let rec scan s prev prev_t =
-                  if s >= Array.length col then prev_v.(p) <- prev
-                  else if col.(s) >= target.(p) then begin
-                    let v0 = prev and v1 = col.(s) in
-                    let t1 = chunk.Transient.times.(s) in
-                    let t_cross =
-                      if v1 = v0 then t1
-                      else
-                        prev_t
-                        +. ((target.(p) -. v0) /. (v1 -. v0) *. (t1 -. prev_t))
-                    in
-                    found.(p) <- Some t_cross;
-                    decr remaining
-                  end
-                  else scan (s + 1) col.(s) chunk.Transient.times.(s)
-                in
-                scan 0 prev_v.(p) !t0;
-                ()
-              end
-            done;
-            x := chunk.Transient.final;
-            t0 := !t0 +. (float_of_int !chunk_steps *. dt);
-            incr extensions;
-            (* Double the window each retry so n extensions cover
-               2^n horizons. *)
-            chunk_steps := !chunk_steps * 2)
-  done;
-  match !failure with Some e -> Error e | None -> Ok found
+  let on_step _ t1 x =
+    for p = 0 to num_probes - 1 do
+      let v1 = x.(idx.(p)) in
+      if not (Float.is_finite v1) then begin
+        if Option.is_none !failure then
+          failure :=
+            Some
+              (Nontree_error.Non_finite { stage = "spice.transient"; value = v1 })
+      end
+      else if Option.is_none found.(p) then begin
+        let crossed =
+          if falling.(p) then v1 <= target.(p) else v1 >= target.(p)
+        in
+        if crossed then begin
+          let v0 = prev_v.(p) in
+          let t_cross =
+            if v1 = v0 then t1
+            else !prev_t +. ((target.(p) -. v0) /. (v1 -. v0) *. (t1 -. !prev_t))
+          in
+          found.(p) <- Some t_cross;
+          decr remaining
+        end
+        else prev_v.(p) <- v1
+      end
+    done;
+    prev_t := t1;
+    Option.is_none !failure && !remaining > 0
+  in
+  let dt = horizon /. float_of_int options.steps_per_chunk in
+  (* Each extension doubles the chunk, so n extensions cover 2^n
+     horizons. *)
+  let rec scan x t0 steps extensions =
+    if !remaining = 0 || extensions > options.max_extensions then Ok found
+    else
+      match
+        Transient.integrate sys ~method_:options.method_ ~x0:x ~t0 ~dt ~steps
+          ~on_step
+      with
+      | exception Numeric.Lu.Singular k ->
+          Error (singular_error ~stage:"spice.transient" k)
+      | final, taken -> (
+          Obs.Counter.add scan_steps taken;
+          match !failure with
+          | Some e -> Error e
+          | None ->
+              let* () = check_finite ~stage:"spice.transient" final in
+              scan final
+                (t0 +. (float_of_int steps *. dt))
+                (steps * 2) (extensions + 1))
+  in
+  scan x0 0.0 options.steps_per_chunk 0
 
-let threshold_delays_result ?(options = default_options) ?(fraction = 0.5) nl
-    ~probes ~horizon =
+let threshold_delays_result ?(options = default_options) nl ~probes ~horizon =
   if horizon <= 0.0 then
     invalid_arg "Engine.threshold_delays: horizon must be positive";
   match injected_fault ~horizon with
@@ -201,21 +215,21 @@ let threshold_delays_result ?(options = default_options) ?(fraction = 0.5) nl
           let* xf =
             match Mna.factor_g_result sys with
             | Error k -> Error (singular_error ~stage:"spice.settle" k)
-            | Ok lu -> Ok (Numeric.Backend.solve lu (sys.Mna.rhs t_settled))
+            | Ok lu -> Ok (Numeric.Backend.solve lu (Mna.rhs sys t_settled))
           in
           let* () = check_finite ~stage:"spice.settle" xf in
           let* found =
-            threshold_scan_result ~options ~fraction sys ~idx ~x0 ~xf ~horizon
+            threshold_scan_result ~options sys ~idx ~x0 ~xf ~horizon
           in
           Ok (List.mapi (fun p name -> (name, found.(p))) probes))
 
-let threshold_delays ?options ?fraction nl ~probes ~horizon =
-  match threshold_delays_result ?options ?fraction nl ~probes ~horizon with
+let threshold_delays ?options nl ~probes ~horizon =
+  match threshold_delays_result ?options nl ~probes ~horizon with
   | Ok r -> r
   | Error e -> Nontree_error.raise_error e
 
-let max_delay_result ?options ?fraction nl ~probes ~horizon =
-  let* delays = threshold_delays_result ?options ?fraction nl ~probes ~horizon in
+let max_delay_result ?options nl ~probes ~horizon =
+  let* delays = threshold_delays_result ?options nl ~probes ~horizon in
   List.fold_left
     (fun acc (name, d) ->
       let* acc = acc in
@@ -225,7 +239,7 @@ let max_delay_result ?options ?fraction nl ~probes ~horizon =
           Error (Nontree_error.Probe_never_settled { probe = name; horizon }))
     (Ok 0.0) delays
 
-let max_delay ?options ?fraction nl ~probes ~horizon =
-  match max_delay_result ?options ?fraction nl ~probes ~horizon with
+let max_delay ?options nl ~probes ~horizon =
+  match max_delay_result ?options nl ~probes ~horizon with
   | Ok d -> d
   | Error e -> Nontree_error.raise_error e

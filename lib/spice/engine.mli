@@ -70,7 +70,6 @@ val settled_time : horizon:float -> float
 
 val threshold_scan_result :
   ?options:options ->
-  ?fraction:float ->
   Mna.t ->
   idx:int array ->
   x0:float array ->
@@ -80,37 +79,48 @@ val threshold_scan_result :
 (** The chunked threshold search on an already-built system: starting
     from state [x0], integrate and extend (doubling the window up to
     [max_extensions] times) until every probed unknown in [idx] crosses
-    [fraction] of the way from its initial to its settled value [xf];
-    probes that never cross report [None]. This is the core of
-    {!threshold_delays_result}, exposed so the incremental oracle can
-    run the identical scan on a rank-1-extended system without
-    rebuilding the netlist. No fault is injected here — the callers
-    own that draw.
+    50% of the way from its initial to its settled value [xf]; probes
+    that never cross report [None]. A probe that settles above its
+    start crosses upward ([v ≥ target]), one that settles below it
+    downward ([v ≤ target]); one whose start equals its target reports
+    0. The crossing is interpolated linearly between the two samples
+    around it. This is the core of {!threshold_delays_result}, exposed
+    so the incremental oracle can run the identical scan on a
+    rank-1-extended system without rebuilding the netlist. No fault is
+    injected here — the callers own that draw.
+
+    The crossing test runs inside {!Transient.integrate}'s step loop,
+    and the transient stops at the step where the last probe crosses:
+    the waveform after it is never computed. Finiteness is checked
+    there too. Every step checks the probed unknowns, and the full
+    state is checked wherever a chunk stops or ends; either failing
+    gives [Non_finite]. A state that would turn non-finite only after
+    the last crossing is therefore not detected. Each call counts one
+    [spice.scans] and adds its chunks' steps to [spice.scan_steps].
 
     @raise Invalid_argument on a non-positive [horizon]. *)
 
 val threshold_delays_result :
   ?options:options ->
-  ?fraction:float ->
   Circuit.Netlist.t ->
   probes:string list ->
   horizon:float ->
   ((string * float option) list, Nontree_error.t) result
 (** [threshold_delays_result nl ~probes ~horizon] runs the transient
     from the t=0 operating point, extending (doubling) the simulated
-    window until every probe has crossed [fraction] (default 0.5) of
-    its final DC value or [max_extensions] is exhausted; unreached
-    probes report [None]. [horizon] is the initial window estimate — a
-    few times the slowest expected time constant.
+    window until every probe has crossed 50% of the way to its final
+    DC value or [max_extensions] is exhausted; unreached probes report
+    [None]. [horizon] is the initial window estimate — a few times the
+    slowest expected time constant. The scan is
+    {!threshold_scan_result}'s, so falling probes are measured too.
 
-    Waveforms are guarded: any non-finite state value aborts the
-    analysis with [Non_finite] rather than scanning garbage for
-    threshold crossings; singular factorisations surface as
-    [Singular_matrix]. *)
+    Waveforms are guarded as there: a non-finite probe value, or a
+    non-finite state where the transient stops, aborts the analysis
+    with [Non_finite] rather than scanning garbage for threshold
+    crossings; singular factorisations surface as [Singular_matrix]. *)
 
 val threshold_delays :
   ?options:options ->
-  ?fraction:float ->
   Circuit.Netlist.t ->
   probes:string list ->
   horizon:float ->
@@ -121,7 +131,6 @@ val threshold_delays :
 
 val max_delay_result :
   ?options:options ->
-  ?fraction:float ->
   Circuit.Netlist.t ->
   probes:string list ->
   horizon:float ->
@@ -132,7 +141,6 @@ val max_delay_result :
 
 val max_delay :
   ?options:options ->
-  ?fraction:float ->
   Circuit.Netlist.t ->
   probes:string list ->
   horizon:float ->

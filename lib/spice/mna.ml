@@ -5,7 +5,7 @@ module Csc = Numeric.Sparse.Csc
 type t = {
   size : int;
   num_node_unknowns : int;
-  rhs : float -> float array;
+  rhs_into : float -> float array -> unit;
   unknown_of_node : int array;
   g_stamps : Triplets.t;
   c_stamps : Triplets.t;
@@ -20,13 +20,13 @@ type t = {
    [lhs_sym] orders the union pattern of G and C: the transient
    iteration matrix G + C/h (any h, any integration method) and every
    doubled-timestep refactor reuse it. *)
-let finish ~size ~num_node_unknowns ~rhs ~unknown_of_node gt ct =
+let finish ~size ~num_node_unknowns ~rhs_into ~unknown_of_node gt ct =
   let g_csc = Csc.of_triplets ~n:size gt in
   let c_csc = Csc.of_triplets ~n:size ct in
   {
     size;
     num_node_unknowns;
-    rhs;
+    rhs_into;
     unknown_of_node;
     g_stamps = gt;
     c_stamps = ct;
@@ -104,16 +104,22 @@ let build nl =
           if p >= 0 then source_terms := (p, -1.0, wave) :: !source_terms;
           if n >= 0 then source_terms := (n, 1.0, wave) :: !source_terms)
     elements;
-  let source_terms = !source_terms in
-  let rhs t =
-    let b = Array.make size 0.0 in
-    List.iter
-      (fun (row, sign, wave) ->
-        b.(row) <- b.(row) +. (sign *. Waveform.value wave t))
-      source_terms;
-    b
+  let source_terms = Array.of_list !source_terms in
+  (* Every entry sums from 0.0 in [source_terms] order. The buffer is
+     zeroed whole, so an extended system's pad rows read 0. *)
+  let rhs_into t b =
+    Array.fill b 0 (Array.length b) 0.0;
+    for k = 0 to Array.length source_terms - 1 do
+      let row, sign, wave = source_terms.(k) in
+      b.(row) <- b.(row) +. (sign *. Waveform.value wave t)
+    done
   in
-  finish ~size ~num_node_unknowns ~rhs ~unknown_of_node gt ct
+  finish ~size ~num_node_unknowns ~rhs_into ~unknown_of_node gt ct
+
+let rhs sys t =
+  let b = Array.make sys.size 0.0 in
+  sys.rhs_into t b;
+  b
 
 let voltage sys x node =
   let u = sys.unknown_of_node.(node) in
@@ -204,12 +210,6 @@ module Delta = struct
     let ct = Triplets.copy sys.c_stamps in
     List.iter (fun { i; j; value } -> stamp gt i j value) (List.rev d.g_stamps);
     List.iter (fun { i; j; value } -> stamp ct i j value) (List.rev d.c_stamps);
-    let rhs t =
-      let b = sys.rhs t in
-      let out = Array.make nt 0.0 in
-      Array.blit b 0 out 0 sys.size;
-      out
-    in
-    finish ~size:nt ~num_node_unknowns:sys.num_node_unknowns ~rhs
-      ~unknown_of_node:sys.unknown_of_node gt ct
+    finish ~size:nt ~num_node_unknowns:sys.num_node_unknowns
+      ~rhs_into:sys.rhs_into ~unknown_of_node:sys.unknown_of_node gt ct
 end

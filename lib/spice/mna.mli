@@ -18,7 +18,9 @@
 type t = {
   size : int;  (** total number of unknowns *)
   num_node_unknowns : int;  (** non-ground node count *)
-  rhs : float -> float array;  (** b(t) *)
+  rhs_into : float -> float array -> unit;
+      (** [rhs_into t b] overwrites [b] (length [size]) with b(t),
+          allocating no vector: the transient calls it every step *)
   unknown_of_node : int array;
       (** netlist node id → unknown index; ground maps to -1 *)
   g_stamps : Numeric.Sparse.Triplets.t;  (** the stamp log behind [g_csc] *)
@@ -33,6 +35,9 @@ type t = {
 
 val build : Circuit.Netlist.t -> t
 (** @raise Invalid_argument on an empty circuit (no unknowns). *)
+
+val rhs : t -> float -> float array
+(** [rhs sys t] is b(t) in a fresh array, through [sys.rhs_into]. *)
 
 val factor_g_result : t -> (Numeric.Backend.t, int) result
 (** Factor G under the active matrix backend, reusing the precomputed
@@ -91,7 +96,8 @@ module Delta : sig
   val extend : mna -> t -> mna
   (** The extended system as a plain [Mna.t]: the base stamp logs
       replayed with the delta stamps appended, summed into fresh CSC
-      matrices with fresh orderings; right-hand side zero-padded,
+      matrices with fresh orderings; the base's [rhs_into] (zero on the
+      appended rows),
       node→unknown map unchanged.
       @raise Invalid_argument when [d] was built from a system of a
       different size. *)

@@ -7,13 +7,16 @@ type chunk = {
 }
 
 let dc_operating_point (sys : Mna.t) =
-  Numeric.Backend.solve (Mna.factor_g sys) (sys.Mna.rhs 0.0)
+  Numeric.Backend.solve (Mna.factor_g sys) (Mna.rhs sys 0.0)
 
-let run (sys : Mna.t) ~method_ ~x0 ~t0 ~dt ~steps ~probes =
-  if dt <= 0.0 then invalid_arg "Transient.run: dt must be positive";
-  if steps <= 0 then invalid_arg "Transient.run: steps must be positive";
+let check_args fn (sys : Mna.t) ~x0 ~dt ~steps =
+  if dt <= 0.0 then invalid_arg (fn ^ ": dt must be positive");
+  if steps <= 0 then invalid_arg (fn ^ ": steps must be positive");
   if Array.length x0 <> sys.Mna.size then
-    invalid_arg "Transient.run: state size mismatch";
+    invalid_arg (fn ^ ": state size mismatch")
+
+let integrate (sys : Mna.t) ~method_ ~x0 ~t0 ~dt ~steps ~on_step =
+  check_args "Transient.integrate" sys ~x0 ~dt ~steps;
   let n = sys.Mna.size in
   (* Entries are the float expressions Matrix.scale/add/sub compute on
      dense G and C. The G∪C ordering fits any timestep or method. *)
@@ -34,35 +37,47 @@ let run (sys : Mna.t) ~method_ ~x0 ~t0 ~dt ~steps ~probes =
     | Ok f -> f
     | Error k -> raise (Numeric.Lu.Singular k)
   in
-  let num_probes = Array.length probes in
-  let times = Array.make steps 0.0 in
-  let states = Array.init num_probes (fun _ -> Array.make steps 0.0) in
+  (* Four n-vectors serve the whole run: the state, the solve buffer,
+     and b(t) and b(t'), which swap roles after each step. *)
   let x = Array.copy x0 in
   let rhs = Array.make n 0.0 in
-  let b_prev = ref (sys.Mna.rhs t0) in
-  for s = 0 to steps - 1 do
-    let t' = t0 +. (float_of_int (s + 1) *. dt) in
-    let b' = sys.Mna.rhs t' in
-    Numeric.Sparse.Csc.mul_vec_into explicit x rhs;
-    (match method_ with
-    | Backward_euler ->
-        for i = 0 to n - 1 do
-          Array.unsafe_set rhs i
-            (Array.unsafe_get rhs i +. Array.unsafe_get b' i)
-        done
-    | Trapezoidal ->
-        let bp = !b_prev in
-        for i = 0 to n - 1 do
-          Array.unsafe_set rhs i
-            (Array.unsafe_get rhs i +. Array.unsafe_get bp i
-            +. Array.unsafe_get b' i)
-        done);
-    Numeric.Backend.solve_in_place lu rhs;
-    Array.blit rhs 0 x 0 n;
-    b_prev := b';
-    times.(s) <- t';
-    for p = 0 to num_probes - 1 do
+  let rec step s b b' =
+    if s = steps then s
+    else begin
+      let t' = t0 +. (float_of_int (s + 1) *. dt) in
+      sys.Mna.rhs_into t' b';
+      Numeric.Sparse.Csc.mul_vec_into explicit x rhs;
+      (match method_ with
+      | Backward_euler ->
+          for i = 0 to n - 1 do
+            Array.unsafe_set rhs i
+              (Array.unsafe_get rhs i +. Array.unsafe_get b' i)
+          done
+      | Trapezoidal ->
+          for i = 0 to n - 1 do
+            Array.unsafe_set rhs i
+              (Array.unsafe_get rhs i +. Array.unsafe_get b i
+              +. Array.unsafe_get b' i)
+          done);
+      Numeric.Backend.solve_in_place lu rhs;
+      Array.blit rhs 0 x 0 n;
+      if on_step s t' x then step (s + 1) b' b else s + 1
+    end
+  in
+  let b0 = Array.make n 0.0 in
+  sys.Mna.rhs_into t0 b0;
+  (x, step 0 b0 (Array.make n 0.0))
+
+let run (sys : Mna.t) ~method_ ~x0 ~t0 ~dt ~steps ~probes =
+  check_args "Transient.run" sys ~x0 ~dt ~steps;
+  let times = Array.make steps 0.0 in
+  let states = Array.map (fun _ -> Array.make steps 0.0) probes in
+  let record s t x =
+    times.(s) <- t;
+    for p = 0 to Array.length probes - 1 do
       states.(p).(s) <- x.(probes.(p))
-    done
-  done;
-  { times; states; final = x }
+    done;
+    true
+  in
+  let final, _ = integrate sys ~method_ ~x0 ~t0 ~dt ~steps ~on_step:record in
+  { times; states; final }

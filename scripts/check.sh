@@ -96,6 +96,15 @@ echo "sparse run: sparse=$sparse_f dense-residual=$lu_resid; dense run: lu=$dens
 [ -n "$sparse_f" ] && [ -n "$dense_lu" ] && [ $((10 * sparse_f)) -ge $((9 * dense_lu)) ]
 [ -n "$lu_resid" ] && [ $((10 * lu_resid)) -le "$dense_lu" ]
 
+echo "== threshold scans stop at their last crossing: <= 80 steps per scan =="
+# Half of fast_spice's 160-step chunk; a scan that ran whole chunks
+# would take at least 160.
+scans=$(sed -n 's/.*"spice.scans": \([0-9]*\).*/\1/p' "$tmpdir/m_on.json")
+scan_steps=$(sed -n 's/.*"spice.scan_steps": \([0-9]*\).*/\1/p' "$tmpdir/m_on.json")
+echo "spice.scans=$scans spice.scan_steps=$scan_steps"
+[ -n "$scans" ] && [ -n "$scan_steps" ] && [ "$scans" -gt 0 ] \
+  && [ "$scan_steps" -le $((80 * scans)) ]
+
 echo "== smoke: observability manifest is valid, stdout unchanged =="
 dune exec bin/tables.exe -- --table 2 --trials 2 --sizes 5,10 --jobs 2 \
   --metrics-json "$tmpdir/obs.json" > "$tmpdir/obs.out" 2>/dev/null

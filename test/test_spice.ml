@@ -305,6 +305,238 @@ let test_threshold_already_settled () =
   | [ (_, Some t) ] -> Alcotest.(check (float 0.0)) "zero delay" 0.0 t
   | _ -> Alcotest.fail "expected an immediate crossing"
 
+(* A falling step mirrors the rising one: 1 V down to 0 at t0 = 1 ns
+   crosses 50 % at t0 + RC·ln 2. *)
+let test_rc_50_delay_falling () =
+  let nl = Netlist.create () in
+  let inp = Netlist.node nl "in" in
+  let out = Netlist.node nl "out" in
+  Netlist.vsource nl inp Netlist.ground
+    (Waveform.Step { t0 = 1e-9; v0 = 1.0; v1 = 0.0 });
+  Netlist.resistor nl inp out 1e3;
+  Netlist.capacitor nl out Netlist.ground 1e-12;
+  match
+    Spice.Engine.threshold_delays nl ~probes:[ "out" ] ~horizon:5e-9
+      ~options:Spice.Engine.accurate_options
+  with
+  | [ ("out", Some t) ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "t50 = %.4g ns" (t *. 1e9))
+        true
+        (abs_float (t -. (1e-9 +. (1e-9 *. log 2.0))) < 5e-12)
+  | _ -> Alcotest.fail "expected one crossing"
+
+(* Threshold scan vs the full-chunk reference -------------------------- *)
+
+(* The scan as it ran before the transient could stop early: whole
+   [Transient.run] chunks, each scanned afterwards for upward crossings.
+   Every input below rises or starts at its target, where the early-exit
+   scan must give the same bits. *)
+let reference_scan ~(options : Spice.Engine.options) sys ~idx ~x0 ~xf
+    ~horizon =
+  let num_probes = Array.length idx in
+  let target =
+    Array.map (fun u -> x0.(u) +. (0.5 *. (xf.(u) -. x0.(u)))) idx
+  in
+  let found = Array.make num_probes None in
+  let prev_v = Array.map (fun u -> x0.(u)) idx in
+  let remaining = ref num_probes in
+  Array.iteri
+    (fun p u ->
+      if x0.(u) >= target.(p) then begin
+        found.(p) <- Some 0.0;
+        decr remaining
+      end)
+    idx;
+  let dt = horizon /. float_of_int options.steps_per_chunk in
+  let x = ref x0 and t0 = ref 0.0 in
+  let steps = ref options.steps_per_chunk and extensions = ref 0 in
+  while !remaining > 0 && !extensions <= options.max_extensions do
+    let chunk =
+      Spice.Transient.run sys ~method_:options.method_ ~x0:!x ~t0:!t0 ~dt
+        ~steps:!steps ~probes:idx
+    in
+    for p = 0 to num_probes - 1 do
+      if found.(p) = None then begin
+        let col = chunk.Spice.Transient.states.(p) in
+        let times = chunk.Spice.Transient.times in
+        let rec scan s prev prev_t =
+          if s >= Array.length col then prev_v.(p) <- prev
+          else if col.(s) >= target.(p) then begin
+            let v0 = prev and v1 = col.(s) in
+            let t1 = times.(s) in
+            found.(p) <-
+              Some
+                (if v1 = v0 then t1
+                 else
+                   prev_t
+                   +. ((target.(p) -. v0) /. (v1 -. v0) *. (t1 -. prev_t)));
+            decr remaining
+          end
+          else scan (s + 1) col.(s) times.(s)
+        in
+        scan 0 prev_v.(p) !t0
+      end
+    done;
+    x := chunk.Spice.Transient.final;
+    t0 := !t0 +. (float_of_int !steps *. dt);
+    incr extensions;
+    steps := !steps * 2
+  done;
+  found
+
+let probe_unknowns nl sys names =
+  Array.of_list
+    (List.map
+       (fun name ->
+         match Netlist.find_node nl name with
+         | Some node -> sys.Spice.Mna.unknown_of_node.(node)
+         | None -> Alcotest.failf "no node %s" name)
+       names)
+
+(* Start and settled states as the engine computes them. *)
+let scan_inputs nl names ~horizon =
+  let sys = Spice.Mna.build nl in
+  let x0 = Spice.Transient.dc_operating_point sys in
+  let xf =
+    Numeric.Backend.solve (Spice.Mna.factor_g sys)
+      (Spice.Mna.rhs sys (Spice.Engine.settled_time ~horizon))
+  in
+  (sys, probe_unknowns nl sys names, x0, xf)
+
+(* Runs both scans and returns the early-exit one's crossings. *)
+let check_scan_matches_reference label ~options nl names ~horizon =
+  let sys, idx, x0, xf = scan_inputs nl names ~horizon in
+  let hex = Array.map (Option.map (Printf.sprintf "%h")) in
+  let expected = reference_scan ~options sys ~idx ~x0 ~xf ~horizon in
+  match Spice.Engine.threshold_scan_result ~options sys ~idx ~x0 ~xf ~horizon with
+  | Error e -> Alcotest.failf "%s: %s" label (Nontree_error.to_string e)
+  | Ok found ->
+      Alcotest.(check (array (option string)))
+        (label ^ ": crossings in %h") (hex expected) (hex found);
+      found
+
+(* The MST plus one chord from pin 0 to the highest-numbered pin it is
+   not yet wired to. *)
+let rec add_chord r j =
+  match Routing.add_edge r 0 j with
+  | r -> r
+  | exception Invalid_argument _ -> add_chord r (j - 1)
+
+let test_scan_matches_full_chunk_reference () =
+  let tech = Circuit.Technology.table1 in
+  let segmentation = Delay.Model.fast_spice.Delay.Model.segmentation in
+  let both_options =
+    [ ("fast", Spice.Engine.fast_options);
+      ("default", Spice.Engine.default_options) ]
+  in
+  (* Lumped routings: MSTs, and the same with one chord added. *)
+  List.iter
+    (fun (pins, seed) ->
+      let net =
+        Geom.Netgen.uniform (Rng.create seed)
+          ~region:(Geom.Rect.square 10_000.0) ~pins
+      in
+      let mst = Routing.mst_of_net net in
+      List.iter
+        (fun (shape, r) ->
+          let nl, sinks =
+            Delay.Lumping.circuit_of_routing ~segmentation
+              ~include_inductance:false ~tech r
+          in
+          let horizon = Delay.Model.spice_horizon ~tech r in
+          List.iter
+            (fun (oname, options) ->
+              let label =
+                Printf.sprintf "%d pins, seed %d, %s, %s" pins seed shape oname
+              in
+              ignore
+                (check_scan_matches_reference label ~options nl sinks ~horizon))
+            both_options)
+        [ ("mst", mst);
+          ("mst+chord", add_chord mst (pins - 1)) ])
+    [ (5, 1); (10, 2); (20, 3); (30, 4) ];
+  (* One probe two doublings out: chunks end at 0.1, 0.3 and 0.7 ns,
+     and the crossing sits near 0.69 ns. *)
+  let t =
+    check_scan_matches_reference "two doublings"
+      ~options:Spice.Engine.fast_options (rc_circuit ()) [ "out" ]
+      ~horizon:1e-10
+  in
+  (match t with
+  | [| Some t |] ->
+      Alcotest.(check bool) "crossed in the third chunk" true (t > 3e-10)
+  | _ -> Alcotest.fail "expected one crossing");
+  (* Probes crossing in different chunks (τ = 1 ns and 10 ns over a
+     2 ns first chunk), beside a DC-driven probe that starts at its
+     target. *)
+  let nl = Netlist.create () in
+  let inp = Netlist.node nl "in" and dc = Netlist.node nl "dc" in
+  let fast = Netlist.node nl "fast" and slow = Netlist.node nl "slow" in
+  let held = Netlist.node nl "held" in
+  Netlist.vsource nl inp Netlist.ground step01;
+  Netlist.vsource nl dc Netlist.ground (Waveform.Dc 1.0);
+  Netlist.resistor nl inp fast 1e3;
+  Netlist.resistor nl inp slow 1e4;
+  Netlist.resistor nl dc held 1e3;
+  List.iter
+    (fun node -> Netlist.capacitor nl node Netlist.ground 1e-12)
+    [ fast; slow; held ];
+  List.iter
+    (fun (oname, options) ->
+      match
+        check_scan_matches_reference ("mixed, " ^ oname) ~options nl
+          [ "fast"; "held"; "slow" ] ~horizon:2e-9
+      with
+      | [| Some t_fast; Some t_held; Some t_slow |] ->
+          Alcotest.(check bool) "fast probe in the first chunk" true
+            (t_fast < 2e-9);
+          Alcotest.(check (float 0.0)) "held probe at t = 0" 0.0 t_held;
+          Alcotest.(check bool) "slow probe in the third chunk" true
+            (t_slow > 6e-9)
+      | _ -> Alcotest.fail "expected three crossings")
+    both_options
+
+(* The scan stops at its last crossing: about 23 of fast_options' 160
+   steps for an RC whose 50 % point sits at 0.69 ns of a 5 ns window. *)
+let test_scan_stops_at_last_crossing () =
+  let scans = Obs.Counter.make "spice.scans" in
+  let steps = Obs.Counter.make "spice.scan_steps" in
+  let scans0 = Obs.Counter.value scans and steps0 = Obs.Counter.value steps in
+  let nl = rc_circuit () in
+  let sys, idx, x0, xf = scan_inputs nl [ "out" ] ~horizon:5e-9 in
+  (match
+     Spice.Engine.threshold_scan_result ~options:Spice.Engine.fast_options sys
+       ~idx ~x0 ~xf ~horizon:5e-9
+   with
+  | Ok [| Some _ |] -> ()
+  | _ -> Alcotest.fail "expected one crossing");
+  Alcotest.(check int) "one scan counted" 1 (Obs.Counter.value scans - scans0);
+  let taken = Obs.Counter.value steps - steps0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d steps of 160" taken)
+    true
+    (taken > 0 && taken < 30)
+
+(* A NaN at an unknown no probe reads, in a part of the circuit the
+   probe does not see: the probe still crosses, and the state check
+   where the transient stops must reject the run. *)
+let test_scan_rejects_unprobed_nan () =
+  let nl = rc_circuit () in
+  let island = Netlist.node nl "island" in
+  Netlist.resistor nl island Netlist.ground 1e3;
+  Netlist.capacitor nl island Netlist.ground 1e-12;
+  let sys, idx, x0, xf = scan_inputs nl [ "out" ] ~horizon:5e-9 in
+  let x0 = Array.copy x0 in
+  x0.(sys.Spice.Mna.unknown_of_node.(island)) <- Float.nan;
+  match
+    Spice.Engine.threshold_scan_result ~options:Spice.Engine.fast_options sys
+      ~idx ~x0 ~xf ~horizon:5e-9
+  with
+  | Error (Nontree_error.Non_finite _) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Nontree_error.to_string e)
+  | Ok _ -> Alcotest.fail "a non-finite state was accepted"
+
 (* Measure ------------------------------------------------------------ *)
 
 let test_first_crossing_interpolates () =
@@ -383,9 +615,9 @@ let dense_transient (sys : Spice.Mna.t) ~method_ ~dt ~steps =
   let n = sys.Spice.Mna.size in
   let states = Array.init n (fun _ -> Array.make steps 0.0) in
   let x = ref (Array.make n 0.0) in
-  let b_prev = ref (sys.Spice.Mna.rhs 0.0) in
+  let b_prev = ref (Spice.Mna.rhs sys 0.0) in
   for s = 0 to steps - 1 do
-    let b' = sys.Spice.Mna.rhs (float_of_int (s + 1) *. dt) in
+    let b' = Spice.Mna.rhs sys (float_of_int (s + 1) *. dt) in
     let ex = Matrix.mul_vec explicit !x in
     let rhs =
       Array.mapi
@@ -497,7 +729,7 @@ let test_delta_extend_matches_stamps () =
     (Numeric.Matrix.max_abs (Numeric.Matrix.sub ext_g expect));
   Alcotest.(check (float 0.0)) "C stamped on pad diagonal" 2e-12
     (Numeric.Matrix.get ext_c p p);
-  let b = ext.Spice.Mna.rhs 0.5 in
+  let b = Spice.Mna.rhs ext 0.5 in
   Alcotest.(check int) "rhs grows" nt (Array.length b);
   Alcotest.(check (float 0.0)) "rhs pad is zero" 0.0 b.(p);
   (* And the DC state through the Woodbury update equals a fresh solve
@@ -525,6 +757,8 @@ let suites =
         Alcotest.test_case "rc ramp (trap)" `Quick test_rc_ramp_trapezoidal;
         Alcotest.test_case "trap beats euler" `Quick test_trapezoidal_beats_euler;
         Alcotest.test_case "rc 50% delay = RC ln2" `Quick test_rc_50_delay;
+        Alcotest.test_case "falling rc 50% delay = t0 + RC ln2" `Quick
+          test_rc_50_delay_falling;
         Alcotest.test_case "horizon extension" `Quick test_horizon_extension;
         Alcotest.test_case "rlc overshoot" `Quick test_rlc_underdamped;
         Alcotest.test_case "rlc ringing period" `Quick
@@ -541,6 +775,12 @@ let suites =
           test_max_delay_failure_path;
         Alcotest.test_case "threshold already settled" `Quick
           test_threshold_already_settled;
+        Alcotest.test_case "scan = full-chunk reference" `Quick
+          test_scan_matches_full_chunk_reference;
+        Alcotest.test_case "scan stops at the last crossing" `Quick
+          test_scan_stops_at_last_crossing;
+        Alcotest.test_case "scan rejects an unprobed NaN" `Quick
+          test_scan_rejects_unprobed_nan;
         Alcotest.test_case "crossing interpolates" `Quick
           test_first_crossing_interpolates;
         Alcotest.test_case "crossing none" `Quick test_first_crossing_none;
