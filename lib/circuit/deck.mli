@@ -30,7 +30,7 @@ val write_file :
 
 val of_string : string -> (Netlist.t, string) result
 (** Parses a deck; on failure the error names the offending line.
-    Directives ([.tran], [.ac], ...) are accepted and ignored; use
+    Directives ([.tran], [.probe], ...) are accepted and ignored; use
     {!of_string_full} to retrieve them. *)
 
 val read_file : string -> (Netlist.t, string) result
@@ -39,8 +39,6 @@ val read_file : string -> (Netlist.t, string) result
 
 type analysis =
   | Tran of { step : float; stop : float }  (** [.tran tstep tstop] *)
-  | Ac of { points_per_decade : int; f_start : float; f_stop : float }
-      (** [.ac dec N fstart fstop] (only the DEC sweep is supported) *)
 
 type directives = {
   analyses : analysis list;  (** in deck order *)
@@ -51,8 +49,8 @@ type directives = {
 
 val of_string_full : string -> (Netlist.t * directives, string) result
 (** Like {!of_string} but also returns the recognised analysis and
-    probe directives. A malformed recognised directive (e.g. [.tran]
-    with a bad number) is an error; unrecognised dot-cards are still
-    ignored. *)
+    probe directives: [.tran], and [.probe]/[.print]. A malformed
+    recognised directive (e.g. [.tran] with a bad number) is an error;
+    every other dot-card ([.ac], [.options], ...) is ignored. *)
 
 val read_file_full : string -> (Netlist.t * directives, string) result

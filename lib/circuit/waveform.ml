@@ -40,6 +40,7 @@ let value w t =
       else lerp v0 v1 ((t -. t0) /. (t1 -. t0))
   | Pulse { v0; v1; delay; rise; fall; width; period } ->
       if t < delay then v0
+      else if t = Float.infinity then v1
       else begin
         let tau = mod_float (t -. delay) period in
         if tau < rise then

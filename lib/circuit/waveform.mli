@@ -27,7 +27,10 @@ type t =
 
 val value : t -> float -> float
 (** [value w t] evaluates the waveform at time [t] (clamped to the end
-    values outside the defined range; PULSE repeats with its period). *)
+    values outside the defined range; PULSE repeats with its period).
+    At [t = infinity] it is the settled level: the final value of every
+    other shape, and a PULSE's first-edge level [v1], the level a 50%
+    threshold delay measures towards. *)
 
 val validate : t -> (unit, string) result
 (** Checks structural invariants (increasing PWL times, positive pulse

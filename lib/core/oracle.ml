@@ -67,13 +67,11 @@ module Cache = struct
     else
       Some
         (Printf.sprintf
-           "oracle cache: %d hits, %d misses (%s hit rate), %d entries" s.hits
-           s.misses
+           "oracle cache: %d hits, %d misses (%s hit rate)" s.hits s.misses
            (if total = 0 then "n/a"
             else
               Printf.sprintf "%.1f%%"
-                (100.0 *. float_of_int s.hits /. float_of_int total))
-           s.entries)
+                (100.0 *. float_of_int s.hits /. float_of_int total)))
 
   (* The key is an explicit rendering of everything the robust oracle's
      result depends on: the model (with its full SPICE configuration),

@@ -47,6 +47,10 @@ val guard : (Routing.t -> float) -> Routing.t -> float
     and the counters are atomics. *)
 module Cache : sig
   type stats = { hits : int; misses : int; entries : int }
+  (** [entries] depends on scheduling: with several worker domains,
+      which candidates lower their round's running minimum, and so are
+      stored by {!store_delays}, depends on the order the domains
+      finish in. [hits] and [misses] do not. *)
 
   val set_enabled : bool -> unit
   val enabled : unit -> bool
@@ -57,10 +61,11 @@ module Cache : sig
   val stats : unit -> stats
 
   val summary : unit -> string option
-  (** One human-readable line ("oracle cache: H hits, M misses ...") —
-      printed by [bin/tables] next to the robustness summary. The hit
-      rate reads "n/a" (never NaN) when the cache saw no traffic;
-      [None] only when the cache is disabled and idle. *)
+  (** One human-readable line ("oracle cache: H hits, M misses (R hit
+      rate)") — printed by [bin/tables] next to the robustness summary.
+      It leaves out [entries], so it reads the same at any [--jobs].
+      The hit rate reads "n/a" (never NaN) when the cache saw no
+      traffic; [None] only when the cache is disabled and idle. *)
 
   val store_delays :
     model:Delay.Model.t ->

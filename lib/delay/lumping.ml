@@ -15,7 +15,6 @@ let segments_for seg length =
       let n = int_of_float (ceil (length /. unit_length)) in
       Int.max 1 (Int.min max_segments n)
 
-let source_node_name = "n0"
 let vertex_node_name i = Printf.sprintf "n%d" i
 
 (* The single source of truth for how one wire lowers to π-segments:
@@ -28,10 +27,8 @@ let pi_segments ~segmentation ~tech ~length ~width =
   let seg_c = Technology.wire_capacitance_of tech ~length:seg_len ~width in
   (n_seg, seg_r, seg_c)
 
-let default_input = Waveform.Step { t0 = 0.0; v0 = 0.0; v1 = 1.0 }
-
 let circuit_of_routing ?(segmentation = default_segmentation)
-    ?(include_inductance = false) ?(input = default_input) ~tech r =
+    ?(include_inductance = false) ~tech r =
   let nl = Netlist.create () in
   let vertex_node =
     Array.init (Routing.num_vertices r) (fun i ->
@@ -41,7 +38,8 @@ let circuit_of_routing ?(segmentation = default_segmentation)
      pin, as in the paper ("the root of the tree is driven by a
      resistor connected to the source pin"). *)
   let drive = Netlist.node nl "drive" in
-  Netlist.vsource nl ~name:"Vin" drive Netlist.ground input;
+  Netlist.vsource nl ~name:"Vin" drive Netlist.ground
+    (Waveform.Step { t0 = 0.0; v0 = 0.0; v1 = 1.0 });
   Netlist.resistor nl ~name:"Rdrv" drive vertex_node.(0)
     tech.Technology.driver_resistance;
   (* Sink loading capacitance at every pin of the net. *)

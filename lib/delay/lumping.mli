@@ -19,9 +19,6 @@ val default_segmentation : segmentation
 val segments_for : segmentation -> float -> int
 (** Number of segments chosen for an edge of a given length. *)
 
-val source_node_name : string
-(** Name of the driven source-pin node, ["n0"]. *)
-
 val vertex_node_name : int -> string
 (** ["n<i>"] — the circuit node of routing vertex [i]. *)
 
@@ -39,13 +36,13 @@ val pi_segments :
 val circuit_of_routing :
   ?segmentation:segmentation ->
   ?include_inductance:bool ->
-  ?input:Circuit.Waveform.t ->
   tech:Circuit.Technology.t ->
   Routing.t ->
   Circuit.Netlist.t * string list
 (** [circuit_of_routing ~tech r] is the netlist together with the node
     names of the net's sinks (in sink order n1..nk).
 
-    Defaults: {!default_segmentation}, no inductance (the RC model the
-    Elmore comparisons assume; pass [~include_inductance:true] for the
-    full Table 1 RLC model), and a 0→1 V ideal step at t=0. *)
+    Defaults: {!default_segmentation} and no inductance (the RC model
+    the Elmore comparisons assume; pass [~include_inductance:true] for
+    the full Table 1 RLC model). The driver is always a 0→1 V ideal
+    step at t=0. *)

@@ -136,8 +136,3 @@ let max_delay ?policy ~model ~tech r =
   Result.map
     (List.fold_left (fun acc (_, d) -> Float.max acc d) 0.0)
     (sink_delays ?policy ~model ~tech r)
-
-let max_delay_exn ?policy ~model ~tech r =
-  match max_delay ?policy ~model ~tech r with
-  | Ok d -> d
-  | Error e -> Nontree_error.raise_error e

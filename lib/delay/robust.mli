@@ -59,11 +59,3 @@ val max_delay :
   tech:Circuit.Technology.t ->
   Routing.t ->
   (float, Nontree_error.t) result
-
-val max_delay_exn :
-  ?policy:policy ->
-  model:Model.t ->
-  tech:Circuit.Technology.t ->
-  Routing.t ->
-  float
-(** @raise Nontree_error.Error when retries and fallback are exhausted. *)

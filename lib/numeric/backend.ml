@@ -55,7 +55,7 @@ let solve t b =
   solve_in_place t x;
   x
 
-let update ?pad ?rcond_floor t terms =
-  Lu.Update.make_with ?pad ?rcond_floor ~n:(size t)
+let update ?pad t terms =
+  Lu.Update.make_with ?pad ~n:(size t)
     ~solve_with:(fun ~work b -> solve_with ~work t b)
     terms

@@ -56,7 +56,6 @@ val solve_with : work:float array -> t -> float array -> unit
 
 val update :
   ?pad:int ->
-  ?rcond_floor:float ->
   t ->
   (float * float array * float array) list ->
   Lu.Update.t option

@@ -283,7 +283,7 @@ module Update = struct
   }
 
   let rank1_updates = Obs.Counter.make "lu.rank1_updates"
-  let default_rcond_floor = 1e-10
+  let rcond_floor = 1e-10
 
   (* Â x = b in place, Â = [[A, 0], [0, γI]]. *)
   let ext_solve ~base ~pad ~gamma ~headwork ~basework b =
@@ -300,8 +300,7 @@ module Update = struct
     && Array.for_all Float.is_finite u
     && Array.for_all Float.is_finite v
 
-  let make_with ?(pad = 0) ?(rcond_floor = default_rcond_floor) ~n
-      ~solve_with:base_solve terms =
+  let make_with ?(pad = 0) ~n ~solve_with:base_solve terms =
     if pad < 0 then invalid_arg "Lu.Update.make: negative pad";
     if n < 0 then invalid_arg "Lu.Update.make: negative size";
     let base = { base_n = n; base_solve } in
@@ -393,8 +392,8 @@ module Update = struct
       end
     end
 
-  let make ?pad ?rcond_floor base terms =
-    make_with ?pad ?rcond_floor ~n:base.n
+  let make ?pad base terms =
+    make_with ?pad ~n:base.n
       ~solve_with:(fun ~work b -> solve_with ~work base b)
       terms
 

@@ -92,7 +92,7 @@ val inverse : Matrix.t -> Matrix.t
     capacitance matrix fails to factor, when a pivot is tiny relative
     to the magnitudes summed into S (the Sherman–Morrison denominator
     cancelling — the updated matrix is numerically singular), or when
-    its {!rcond} falls below [rcond_floor]. Callers fall back to a
+    its {!rcond} falls below 1e-10. Callers fall back to a
     fresh factorisation through the usual [Nontree_error] retry path.
 
     A base factorisation may be shared across domains while updates
@@ -104,12 +104,8 @@ module Update : sig
   type t
   (** A base factorisation extended with k rank-1 terms. *)
 
-  val default_rcond_floor : float
-  (** 1e-10. *)
-
   val make :
     ?pad:int ->
-    ?rcond_floor:float ->
     lu ->
     (float * float array * float array) list ->
     t option
@@ -124,7 +120,6 @@ module Update : sig
 
   val make_with :
     ?pad:int ->
-    ?rcond_floor:float ->
     n:int ->
     solve_with:(work:float array -> float array -> unit) ->
     (float * float array * float array) list ->

@@ -104,10 +104,10 @@ let transient ?options nl ~tstop ~probes =
   | Ok t -> t
   | Error e -> Nontree_error.raise_error e
 
-(* All supported settling waveforms (Step/Ramp/Pwl/Dc) are constant
-   after their last corner, so evaluating the sources this far beyond
-   the horizon gives the exact final DC values. *)
-let settled_time ~horizon = 1e6 *. horizon
+(* Not a finite time: one that lands on a multiple of a PULSE's period
+   finds it back at v0, so the settled state would equal the start and
+   every delay read 0. *)
+let settled_time ~horizon:_ = Float.infinity
 
 (* Registry counters: scans run and steps integrated by them, added
    once per chunk. Their ratio is the mean scan length. *)

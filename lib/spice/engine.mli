@@ -64,9 +64,10 @@ val transient_result :
   (Trace.t, Nontree_error.t) result
 
 val settled_time : horizon:float -> float
-(** The time at which every supported source waveform has reached its
-    final value — where the threshold targets' DC endpoint is
-    evaluated (10⁶ × horizon). *)
+(** The time at which the threshold targets' DC endpoint is evaluated:
+    [infinity], where every source takes its settled level
+    ({!Circuit.Waveform.value}), a PULSE its first-edge level. The
+    same for every [horizon]. *)
 
 val threshold_scan_result :
   ?options:options ->

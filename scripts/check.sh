@@ -122,6 +122,42 @@ if dune exec bin/compare.exe -- "$tmpdir/net.txt" --model bogus \
   exit 1
 fi
 
+echo "== spice_run: a periodic PULSE deck reports a nonzero 50% delay =="
+# The period (100 ns) divides every finite multiple of the horizon,
+# where the pulse is back at 0 V; the settled state must still be 1 V.
+cat > "$tmpdir/pulse.cir" <<'DECK'
+* rc test
+V1 in 0 PULSE(0 1 0 0.01n 0.01n 50n 100n)
+R1 in out 1k
+C1 out 0 1p
+.probe out
+.tran 0.01n 10n
+.end
+DECK
+dune exec bin/spice_run.exe -- "$tmpdir/pulse.cir" --delay > "$tmpdir/pulse.out"
+cat "$tmpdir/pulse.out"
+d=$(sed -n 's/.*50% delay \([^ ]*\) ns.*/\1/p' "$tmpdir/pulse.out")
+if ! awk -v d="$d" 'BEGIN { exit !(d > 0) }'; then
+  echo "PULSE deck: 50% delay '$d' ns, expected > 0" >&2
+  exit 1
+fi
+
+echo "== oracle cache: stderr summary identical at --jobs 1 and 2 =="
+# Which candidates get stored depends on the order worker domains
+# finish in, so a count of stored entries varies between --jobs 2 runs
+# (about 1 run in 8 on a 2-core host); 30 runs make such a leak near
+# certain to show.
+dune exec bin/tables.exe -- --table 3 --trials 2 --sizes 5,10 2>&1 \
+  >/dev/null | grep '^oracle cache:' > "$tmpdir/cache1.err"
+cat "$tmpdir/cache1.err"
+i=0
+while [ "$i" -lt 30 ]; do
+  dune exec bin/tables.exe -- --table 3 --trials 2 --sizes 5,10 --jobs 2 \
+    2>&1 >/dev/null | grep '^oracle cache:' > "$tmpdir/cache2.err"
+  diff -u "$tmpdir/cache1.err" "$tmpdir/cache2.err"
+  i=$((i + 1))
+done
+
 echo "== perfbench: one pass of each workload, every check passing =="
 # Expected results in %h, the slow-path re-score and the per-net
 # evaluation accounting; run.sh exits nonzero on any failed check.

@@ -17,6 +17,4 @@ let () =
          Test_obs.suites;
          Test_harness.suites;
          Test_robust.suites;
-         Test_trees.suites;
-         Test_ac.suites;
-         Test_plot.suites ])
+         Test_trees.suites ])

@@ -192,52 +192,6 @@ let test_vec_small_helpers () =
   Alcotest.(check (float 0.0)) "copy is fresh" 1.0 a.(0);
   Alcotest.(check (array (float 0.0))) "scale" [| 2.0; 4.0 |] (Vec.scale 2.0 a)
 
-let test_zmatrix_solve () =
-  (* (1+i) x = 2  ->  x = 1 - i *)
-  let m = Numeric.Zmatrix.create 1 1 in
-  Numeric.Zmatrix.set m 0 0 { Complex.re = 1.0; im = 1.0 };
-  let x = Numeric.Zmatrix.solve m [| { Complex.re = 2.0; im = 0.0 } |] in
-  Alcotest.(check (float 1e-12)) "re" 1.0 x.(0).Complex.re;
-  Alcotest.(check (float 1e-12)) "im" (-1.0) x.(0).Complex.im
-
-let test_zmatrix_mul_and_roundtrip () =
-  let g = Rng.create 55 in
-  let n = 6 in
-  let m = Numeric.Zmatrix.create n n in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      let v =
-        { Complex.re = Rng.float_in g (-1.0) 1.0;
-          im = Rng.float_in g (-1.0) 1.0 }
-      in
-      Numeric.Zmatrix.set m i j
-        (if i = j then Complex.add v { Complex.re = 4.0; im = 0.0 } else v)
-    done
-  done;
-  let b =
-    Array.init n (fun _ ->
-        { Complex.re = Rng.float_in g (-1.0) 1.0;
-          im = Rng.float_in g (-1.0) 1.0 })
-  in
-  let x = Numeric.Zmatrix.solve m b in
-  let r = Numeric.Zmatrix.mul_vec m x in
-  Array.iteri
-    (fun i v ->
-      Alcotest.(check bool) "residual small" true
-        (Complex.norm (Complex.sub v b.(i)) < 1e-10))
-    r
-
-let test_zmatrix_singular () =
-  let m = Numeric.Zmatrix.create 2 2 in
-  (* Rank 1. *)
-  Numeric.Zmatrix.set m 0 0 Complex.one;
-  Numeric.Zmatrix.set m 0 1 Complex.one;
-  Numeric.Zmatrix.set m 1 0 Complex.one;
-  Numeric.Zmatrix.set m 1 1 Complex.one;
-  match Numeric.Zmatrix.solve m [| Complex.one; Complex.zero |] with
-  | exception Numeric.Zmatrix.Singular _ -> ()
-  | _ -> Alcotest.fail "expected Singular"
-
 (* Rank-1 updates (Woodbury) over a factored base ----------------------- *)
 
 let test_lu_update_known () =
@@ -452,10 +406,6 @@ let suites =
           test_matrix_map_scale_frobenius;
         Alcotest.test_case "matrix data view" `Quick test_matrix_data_is_live;
         Alcotest.test_case "vec helpers" `Quick test_vec_small_helpers;
-        Alcotest.test_case "zmatrix 1x1 complex" `Quick test_zmatrix_solve;
-        Alcotest.test_case "zmatrix residual" `Quick
-          test_zmatrix_mul_and_roundtrip;
-        Alcotest.test_case "zmatrix singular" `Quick test_zmatrix_singular;
         Alcotest.test_case "sparse triplets sum duplicates" `Quick
           test_sparse_triplets_sum;
         Alcotest.test_case "sparse zero-diagonal pivoting" `Quick

@@ -326,6 +326,36 @@ let test_rc_50_delay_falling () =
         (abs_float (t -. (1e-9 +. (1e-9 *. log 2.0))) < 5e-12)
   | _ -> Alcotest.fail "expected one crossing"
 
+(* A PULSE settles to its first-edge level, whatever its period: here
+   100 ns divides every finite multiple of the 10 ns horizon that once
+   stood for "settled", where the pulse is back at 0 V. Its delay must
+   match the STEP's within the 10 ps rise. *)
+let test_pulse_delay_matches_step () =
+  let delay wave =
+    let text =
+      Printf.sprintf
+        "* rc\nV1 in 0 %s\nR1 in out 1k\nC1 out 0 1p\n.end\n" wave
+    in
+    match Deck.of_string text with
+    | Error e -> Alcotest.fail e
+    | Ok nl -> (
+        match
+          Spice.Engine.threshold_delays nl ~probes:[ "out" ] ~horizon:10e-9
+        with
+        | [ ("out", Some t) ] -> t
+        | _ -> Alcotest.fail ("no crossing for " ^ wave))
+  in
+  let step = delay "STEP(0 0 1)" in
+  List.iter
+    (fun pulse ->
+      let t = delay pulse in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.4g ns vs step %.4g ns" pulse (t *. 1e9)
+           (step *. 1e9))
+        true
+        (abs_float (t -. step) <= 10e-12))
+    [ "PULSE(0 1 0 0.01n 0.01n 50n 100n)"; "PULSE(0 1 0 0.01n 0.01n 30n 100n)" ]
+
 (* Threshold scan vs the full-chunk reference -------------------------- *)
 
 (* The scan as it ran before the transient could stop early: whole
@@ -759,6 +789,8 @@ let suites =
         Alcotest.test_case "rc 50% delay = RC ln2" `Quick test_rc_50_delay;
         Alcotest.test_case "falling rc 50% delay = t0 + RC ln2" `Quick
           test_rc_50_delay_falling;
+        Alcotest.test_case "pulse delay = step delay" `Quick
+          test_pulse_delay_matches_step;
         Alcotest.test_case "horizon extension" `Quick test_horizon_extension;
         Alcotest.test_case "rlc overshoot" `Quick test_rlc_underdamped;
         Alcotest.test_case "rlc ringing period" `Quick
